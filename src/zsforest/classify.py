@@ -12,12 +12,11 @@ would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ColoredClique, Residue, ZeroSumError
+from .core import ColoredClique, Forest, Residue, ZeroSumError, is_bushy
 
 
 class NoDominantColor(ZeroSumError):
@@ -143,73 +142,86 @@ def _subset_switcher(k: ColoredClique, subset: Sequence[int]
     return None
 
 
-_QUAD_INDEX: dict[int, np.ndarray] = {}
-
-
-def _quad_subsets(n: int) -> np.ndarray:
-    # shared across cliques of the same order; C(n,4) grows fast
-    subs = _QUAD_INDEX.get(n)
-    if subs is None:
-        subs = np.array(list(combinations(range(n), 4)), dtype=np.int64)
-        if len(_QUAD_INDEX) > 8:
-            _QUAD_INDEX.clear()
-        _QUAD_INDEX[n] = subs
-    return subs
-
-
-def _switcher_mask(k: ColoredClique) -> tuple[np.ndarray, np.ndarray]:
-    """(subsets, mask): all 4-subsets lexicographically and whether each
-    contains a switcher under any cycle structure. Cached on the clique."""
-    cached = k._cache.get("switcher_mask")
-    if cached is not None:
-        return cached
-    n = k.order
-    if n < 4:
-        subs = np.empty((0, 4), dtype=np.int64)
-        mask = np.zeros(0, dtype=bool)
-        k._cache["switcher_mask"] = (subs, mask)
-        return subs, mask
-    subs = _quad_subsets(n)
-    p = k.modulus
-    m = k.matrix.astype(np.int32)
-    mask = np.zeros(len(subs), dtype=bool)
-    for order in _CYCLE_ORDERS:
-        q = [subs[:, i] for i in order]
-        e1 = m[q[0], q[1]]
-        e2 = m[q[1], q[2]]
-        e3 = m[q[2], q[3]]
-        e4 = m[q[3], q[0]]
-        mask |= (e1 + e2) % p != (e3 + e4) % p
-        mask |= (e2 + e3) % p != (e4 + e1) % p
-    k._cache["switcher_mask"] = (subs, mask)
-    return subs, mask
+def _first_switcher(k: ColoredClique, free: Sequence[int]
+                    ) -> Optional[SwitcherQuad]:
+    """The switcher in the lexicographically first 4-subset of the
+    ascending vertex list free that contains one, or None."""
+    n = len(free)
+    sub = k.matrix[np.ix_(free, free)].astype(np.int64)
+    ci, di = np.triu_indices(n, 1)
+    cd_all = sub[ci, di]
+    if n < 4 or (cd_all == cd_all[0]).all():
+        return None  # a one-colored clique has no switcher for any p
+    for a in range(n - 3):
+        for b in range(a + 1, n - 2):
+            # pairs (c, d) with b < c < d form a suffix of the triu order
+            off = (b + 1) * (n - 1) - b * (b + 1) // 2
+            c, d = ci[off:], di[off:]
+            ab, ac, ad = sub[a, b], sub[a, c], sub[a, d]
+            bc, bd, cd = sub[b, c], sub[b, d], cd_all[off:]
+            hit = np.zeros(len(c), dtype=bool)
+            # the cycles a-b-c-d, a-b-d-c and a-c-b-d of _CYCLE_ORDERS as
+            # consecutive edges e1..e4, each with both pairings
+            for e1, e2, e3, e4 in ((ab, bc, cd, ad), (ab, bd, cd, ac),
+                                   (ac, bc, bd, ad)):
+                hit |= (e1 + e2 - e3 - e4) % k.modulus != 0
+                hit |= (e2 + e3 - e4 - e1) % k.modulus != 0
+            if hit.any():
+                j = int(np.argmax(hit))
+                return _subset_switcher(
+                    k, (free[a], free[b], free[c[j]], free[d[j]]))
+    return None
 
 
 def maximal_disjoint_switchers(k: ColoredClique, limit: int
                                ) -> list[SwitcherQuad]:
     """Greedy vertex-disjoint switcher collection, capped at limit.
 
-    Scans 4-subsets in lexicographic order, testing all three cycle
-    structures of each. When the result is shorter than limit it is maximal:
-    the vertices not used by it induce a switcher-free sub-clique.
+    Each pick is the lexicographically first 4-subset of the still-free
+    vertices that contains a switcher under one of its three cycle
+    structures; these are, in order, the 4-subsets disjoint from the
+    earlier picks, so the packing equals a lexicographic scan over all
+    4-subsets. When the result is shorter than limit it is maximal: the
+    vertices not used by it induce a switcher-free sub-clique.
+
+    Memory is O(N^2) and the scan stops after limit picks. A one-colored
+    remainder ends it at once, so a full scan runs only on a remainder
+    that is switcher-free but not one-colored; the paper rules that out
+    at odd p once at least 5 vertices remain, so in practice only p = 2
+    cut colorings pay for it.
     """
-    if limit <= 0:
-        return []
-    subs, mask = _switcher_mask(k)
-    rows = subs[mask]
-    used = np.zeros(k.order, dtype=bool)
     out: list[SwitcherQuad] = []
-    while len(out) < limit and len(rows):
-        free = ~used[rows].any(axis=1)
-        pos = int(np.argmax(free))
-        if not free[pos]:
-            break
-        row = rows[pos]
-        quad = _subset_switcher(k, tuple(int(x) for x in row))
+    free = list(range(k.order))
+    while len(out) < limit and (quad := _first_switcher(k, free)) is not None:
         out.append(quad)
-        used[row] = True
-        rows = rows[free]
+        free = [v for v in free if v not in quad.vertices]
     return out
+
+
+@dataclass(frozen=True)
+class Classification:
+    """Bushiness, the (3p-5)-colorful witnesses (ascending) and the switcher
+    packing capped at p-1; vibrant and switchable mean each reaches p-1."""
+
+    p: int
+    bushy: bool
+    witnesses: tuple[ColorfulWitness, ...]
+    switchers: tuple[SwitcherQuad, ...]
+
+    @property
+    def vibrant(self) -> bool:
+        return len(self.witnesses) >= self.p - 1
+
+    @property
+    def switchable(self) -> bool:
+        return len(self.switchers) == self.p - 1
+
+
+def classify(f: Forest, k: ColoredClique, p: int) -> Classification:
+    """The classification the four cases share, computed once."""
+    return Classification(
+        p=p, bushy=is_bushy(f, p), witnesses=tuple(vibrant_vertices(k, p)),
+        switchers=tuple(maximal_disjoint_switchers(k, p - 1)))
 
 
 def dominant_partition(k_prime: ColoredClique, p: int) -> DominantPartition:

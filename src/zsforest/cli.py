@@ -27,9 +27,9 @@ import time
 from typing import Optional, Sequence
 
 from . import __version__
-from .classify import maximal_disjoint_switchers, vibrant_vertices
+from .classify import classify
 from .core import (ColoredClique, DivisibilityViolation, Embedding, Forest,
-                   ZeroSumError, edge_sum, is_bushy)
+                   ZeroSumError, edge_sum)
 from .embedder import NoZeroSumCopy, find_zero_sum_copy, verify_report
 from .extremal import star_lower_bound_coloring
 from .fileio import (FileFormatError, clique_from_text, clique_to_text,
@@ -84,17 +84,16 @@ def cmd_classify(args) -> int:
     k = _load_clique(args.clique)
     p = k.modulus
 
-    witnesses = vibrant_vertices(k, p)
-    quads = maximal_disjoint_switchers(k, p - 1)
+    c = classify(f, k, p)
     fields = _input_fields("classify", f, k)
     fields += [
-        ("bushy", str(is_bushy(f, p)).lower()),
+        ("bushy", str(c.bushy).lower()),
         ("leaf_count", str(f.degree_count(1))),
-        ("vibrant", str(len(witnesses) >= p - 1).lower()),
-        ("colorful_vertices", ",".join(str(w.vertex) for w in witnesses)),
-        ("switchable", str(len(quads) == p - 1).lower()),
+        ("vibrant", str(c.vibrant).lower()),
+        ("colorful_vertices", ",".join(str(w.vertex) for w in c.witnesses)),
+        ("switchable", str(c.switchable).lower()),
         ("switcher_quads", ",".join(
-            ":".join(str(v) for v in q.vertices) for q in quads)),
+            ":".join(str(v) for v in q.vertices) for q in c.switchers)),
     ]
     _emit(fields, started)
     return EXIT_OK

@@ -8,7 +8,6 @@ isolated vertices at construction and remember how many were dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -46,7 +45,6 @@ class PreconditionFailed(ZeroSumError):
     """An operation's structural requirements do not hold for this input."""
 
 
-@lru_cache(maxsize=1024)
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test (moduli here are small)."""
     if n < 2:
@@ -265,23 +263,25 @@ def build_forest(n: int, edges: Iterable[tuple[int, int]]) -> Forest:
 class ColoredClique:
     """A complete graph K_N with a total edge coloring by residues mod m.
 
-    Stored as a symmetric integer matrix (the diagonal is unused). The modulus
-    may be composite; operations that require a prime check it themselves.
+    Stored as its own read-only copy of a symmetric int16 matrix (the diagonal
+    is unused). The modulus may be composite; operations that require a prime
+    check it themselves.
     """
 
-    __slots__ = ("order", "modulus", "matrix", "_cache")
+    __slots__ = ("order", "modulus", "matrix")
 
     def __init__(self, order: int, modulus: int, matrix: np.ndarray):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
         if modulus < 2:
             raise ValueError(f"modulus must be >= 2, got {modulus}")
-        if matrix.shape != (order, order):
+        m = np.array(matrix, dtype=np.int16)
+        if m.shape != (order, order):
             raise ValueError("color matrix shape mismatch")
+        m.flags.writeable = False
         self.order = order
         self.modulus = modulus
-        self.matrix = matrix
-        self._cache: dict = {}
+        self.matrix = m
 
     @classmethod
     def from_pairs(cls, order: int, modulus: int,
@@ -345,7 +345,7 @@ class ColoredClique:
         if labels[0] < 0 or labels[-1] >= self.order:
             raise IndexOutOfRange("sub-clique vertex out of range")
         idx = np.array(labels)
-        sub = self.matrix[np.ix_(idx, idx)].copy()
+        sub = self.matrix[np.ix_(idx, idx)]
         return ColoredClique(len(labels), self.modulus, sub), labels
 
     def __eq__(self, other) -> bool:

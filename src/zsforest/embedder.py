@@ -29,13 +29,12 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .classify import (ColorfulWitness, NoDominantColor, SwitcherQuad,
-                       dominant_partition, maximal_disjoint_switchers,
-                       vibrant_vertices)
+from .classify import (Classification, ColorfulWitness, NoDominantColor,
+                       SwitcherQuad, classify, dominant_partition)
 from .core import (ColoredClique, DegreeTwoTriples, DivisibilityViolation,
                    Embedding, Forest, InsufficientTriples, LeafFamilies,
                    NotBushy, PreconditionFailed, Residue, ZeroSumError,
-                   edge_sum, is_bushy, require_prime, select_degree2_triples,
+                   edge_sum, require_prime, select_degree2_triples,
                    select_leaf_families)
 from .oracle import brute_zero_sum
 from .sumset import iterated_sumset, target_choice
@@ -142,12 +141,11 @@ def _entry_checks(f: Forest, k: ColoredClique, p: int, context: str) -> None:
         raise ValueError(f"{context}: forest has no edges")
 
 
-def _classification_flags(f: Forest, k: ColoredClique, p: int
-                          ) -> tuple[bool, bool, bool]:
-    bushy = is_bushy(f, p)
-    vibrant = len(vibrant_vertices(k, p)) >= p - 1
-    switchable = len(maximal_disjoint_switchers(k, p - 1)) == p - 1
-    return bushy, vibrant, switchable
+def _report(c: Classification, case: str, emb: Embedding, aux: object
+            ) -> CaseReport:
+    return CaseReport(bushy=c.bushy, vibrant=c.vibrant,
+                      switchable=c.switchable, case_used=case, embedding=emb,
+                      auxiliary=aux)
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +213,18 @@ def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
     order at least n + p - 1.
     """
     _entry_checks(f, k, p, "embed_bushy_vibrant")
-    bushy, vibrant, switchable = _classification_flags(f, k, p)
-    if not bushy:
+    c = classify(f, k, p)
+    if not c.bushy:
         raise PreconditionFailed(
             f"forest has {f.degree_count(1)} leaves, needs {2 * (p - 1)}")
     if k.order < f.n + (p - 1):
         raise PreconditionFailed(
             f"host order {k.order} below {f.n + p - 1}")
-    wits = vibrant_vertices(k, p)
-    if len(wits) < p - 1:
+    if not c.vibrant:
         raise PreconditionFailed(
-            f"{len(wits)} colorful vertices, vibrancy needs {p - 1}")
+            f"{len(c.witnesses)} colorful vertices, vibrancy needs {p - 1}")
     fam = select_leaf_families(f, p)
-    targets = select_target_sets(k, wits[:p - 1], fam)
+    targets = select_target_sets(k, c.witnesses[:p - 1], fam)
     m = len(fam.parents)
 
     selected = {leaf for group in fam.selected for leaf in group}
@@ -269,11 +266,9 @@ def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
         mapping[leaf] = xh if pick == 0 else yh
 
     emb = Embedding(pattern=f, host=k, mapping=tuple(mapping))
-    cert = BushyVibrantCert(witnesses=tuple(wits[:m]), families=fam,
+    cert = BushyVibrantCert(witnesses=c.witnesses[:m], families=fam,
                             targets=targets, picks=tuple(picks))
-    return CaseReport(bushy=bushy, vibrant=vibrant, switchable=switchable,
-                      case_used=CASE_BUSHY_VIBRANT, embedding=emb,
-                      auxiliary=cert)
+    return _report(c, CASE_BUSHY_VIBRANT, emb, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +318,11 @@ def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
     surfaces as GreedyStuck and sends the dispatcher onward.
     """
     _entry_checks(f, k, p, "embed_bushy_nonvibrant")
-    bushy, vibrant, switchable = _classification_flags(f, k, p)
-    if vibrant:
+    c = classify(f, k, p)
+    if c.vibrant:
         raise PreconditionFailed(
             f"coloring is vibrant for p={p}; this case needs the opposite")
-    colorful = {w.vertex for w in vibrant_vertices(k, p)}
+    colorful = {w.vertex for w in c.witnesses}
     keep = [v for v in range(k.order) if v not in colorful]
     if not keep:
         raise PreconditionFailed("every vertex is colorful")
@@ -352,9 +347,7 @@ def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
     cert = MonochromaticCert(color=part.largest,
                              class_vertices=tuple(class_hosts),
                              subclique=labels)
-    return CaseReport(bushy=bushy, vibrant=vibrant, switchable=switchable,
-                      case_used=CASE_BUSHY_NONVIBRANT, embedding=emb,
-                      auxiliary=cert)
+    return _report(c, CASE_BUSHY_NONVIBRANT, emb, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +364,7 @@ def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
     switchers in the coloring, and host order at least n + p - 1.
     """
     _entry_checks(f, k, p, "embed_nonbushy_switchable")
-    bushy, vibrant, switchable = _classification_flags(f, k, p)
+    c = classify(f, k, p)
     if k.order < f.n + (p - 1):
         raise PreconditionFailed(
             f"host order {k.order} below {f.n + p - 1}")
@@ -379,8 +372,8 @@ def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
         triples = select_degree2_triples(f, p)
     except InsufficientTriples as err:
         raise PreconditionFailed(str(err)) from err
-    quads = maximal_disjoint_switchers(k, p - 1)
-    if len(quads) < p - 1:
+    quads = c.switchers
+    if not c.switchable:
         raise PreconditionFailed(
             f"only {len(quads)} disjoint switchers, need {p - 1}")
 
@@ -425,9 +418,7 @@ def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
     emb = Embedding(pattern=f, host=k, mapping=tuple(mapping))
     cert = SwitcherCert(triples=triples, quads=tuple(quads),
                         picks=tuple(picks))
-    return CaseReport(bushy=bushy, vibrant=vibrant, switchable=switchable,
-                      case_used=CASE_NONBUSHY_SWITCHABLE, embedding=emb,
-                      auxiliary=cert)
+    return _report(c, CASE_NONBUSHY_SWITCHABLE, emb, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -446,9 +437,9 @@ def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
     them back to the dispatcher.
     """
     _entry_checks(f, k, p, "embed_nonbushy_nonswitchable")
-    bushy, vibrant, switchable = _classification_flags(f, k, p)
-    quads = maximal_disjoint_switchers(k, p - 1)
-    if len(quads) > p - 2:
+    c = classify(f, k, p)
+    quads = c.switchers
+    if c.switchable:
         raise PreconditionFailed(
             f"found {len(quads)} disjoint switchers: classified switchable")
     removed = {v for q in quads for v in q.vertices}
@@ -482,9 +473,7 @@ def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
     cert = MonoSubcliqueCert(removed_quads=tuple(quads),
                              remainder=tuple(remainder),
                              color=Residue(color, p))
-    return CaseReport(bushy=bushy, vibrant=vibrant, switchable=switchable,
-                      case_used=CASE_NONBUSHY_NONSWITCHABLE, embedding=emb,
-                      auxiliary=cert)
+    return _report(c, CASE_NONBUSHY_NONSWITCHABLE, emb, cert)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +516,8 @@ def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
     if allow_fallback:
         emb = brute_zero_sum(f, k, p)
         if emb is not None:
-            bushy, vibrant, switchable = _classification_flags(f, k, p)
-            return CaseReport(bushy=bushy, vibrant=vibrant,
-                              switchable=switchable,
-                              case_used=CASE_FALLBACK, embedding=emb,
-                              auxiliary=None)
+            c = classify(f, k, p)
+            return _report(c, CASE_FALLBACK, emb, None)
         raise NoZeroSumCopy("exhaustive search found no zero-sum copy")
     raise NoZeroSumCopy(
         "all constructive cases failed and the fallback is disabled")

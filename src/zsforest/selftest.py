@@ -49,7 +49,7 @@ from .sumset import iterated_sumset
 _RAMSEY_CACHE: dict[str, RamseyResult] = {}
 
 
-def _cached_ramsey(key: str, g, k: int, max_n: int) -> RamseyResult:
+def _ramsey_once(key: str, g, k: int, max_n: int) -> RamseyResult:
     if key not in _RAMSEY_CACHE:
         _RAMSEY_CACHE[key] = compute_ramsey(g, k, max_n)
     return _RAMSEY_CACHE[key]
@@ -61,16 +61,16 @@ def _cached_ramsey(key: str, g, k: int, max_n: int) -> RamseyResult:
 
 def criterion_1() -> tuple[bool, str]:
     """Exact Z_2 values: the 4-cycle needs order 4, two disjoint edges 5."""
-    r_c4 = _cached_ramsey("c4-z2", cycle(4), 2, 6).value
-    r_2k2 = _cached_ramsey("2k2-z2", matching(2), 2, 7).value
+    r_c4 = _ramsey_once("c4-z2", cycle(4), 2, 6).value
+    r_2k2 = _ramsey_once("2k2-z2", matching(2), 2, 7).value
     ok = r_c4 == 4 and r_2k2 == 5
     return ok, f"R(C4,Z2)={r_c4} (want 4), R(2K2,Z2)={r_2k2} (want 5)"
 
 
 def criterion_2() -> tuple[bool, str]:
     """Exact Z_3 values for P_4 and the 3-star, matching the closed form."""
-    r_p4 = _cached_ramsey("p4-z3", path(4), 3, 7).value
-    r_star = _cached_ramsey("star3-z3", star(3), 3, 8).value
+    r_p4 = _ramsey_once("p4-z3", path(4), 3, 7).value
+    r_star = _ramsey_once("star3-z3", star(3), 3, 8).value
     e_p4, e_star = exact_z3(path(4)), exact_z3(star(3))
     ok = r_p4 == 5 == e_p4 and r_star == 6 == e_star
     return ok, (f"R(P4,Z3)={r_p4} closed-form {e_p4} (want 5), "
@@ -445,7 +445,7 @@ def criterion_8() -> tuple[bool, str]:
         hit = brute_zero_sum(star(n - 1), k)
         if hit is not None:
             problems.append(f"(p={p}, n={n}): zero-sum star at {hit.mapping}")
-    r_star = _cached_ramsey("star3-z3", star(3), 3, 8).value
+    r_star = _ramsey_once("star3-z3", star(3), 3, 8).value
     if r_star != 6:
         problems.append(f"R(K13,Z3) = {r_star}, want 6 = 4 + 3 - 1")
     ok = not problems

@@ -10,10 +10,9 @@ import pytest
 
 from zsforest import ColoredClique, Residue
 from zsforest.classify import (ColorfulWitness, NoDominantColor, SwitcherQuad,
-                               _subset_switcher, _switcher_mask,
-                               colorful_witness, dominant_partition,
-                               is_switcher, maximal_disjoint_switchers,
-                               vibrant_vertices)
+                               _subset_switcher, colorful_witness,
+                               dominant_partition, is_switcher,
+                               maximal_disjoint_switchers, vibrant_vertices)
 from zsforest.randomgen import random_coloring, splitmix64
 
 
@@ -178,13 +177,56 @@ def test_disjoint_switchers_exhaustion_below_limit():
     assert maximal_disjoint_switchers(k, 0) == []
 
 
-def test_switcher_mask_matches_direct_scan():
-    for i in range(60):
-        k = random_coloring(4 + i % 6, 2 + i % 3, seed=500 + i)
-        subs, mask = _switcher_mask(k)
-        for row, flag in zip(subs, mask):
-            direct = _subset_switcher(k, tuple(int(x) for x in row))
-            assert (direct is not None) == bool(flag)
+def reference_greedy(k, limit):
+    """One pass over all 4-subsets in lexicographic order, skipping those
+    that meet a vertex already used."""
+    used = set()
+    out = []
+    for sub in combinations(range(k.order), 4):
+        if len(out) == limit:
+            break
+        if used & set(sub):
+            continue
+        quad = _subset_switcher(k, sub)
+        if quad is not None:
+            out.append(quad)
+            used |= set(sub)
+    return out
+
+
+def cut_coloring(order, p, side):
+    """Color 1 across the bipartition given by side, 0 inside it."""
+    m = np.zeros((order, order), dtype=np.int16)
+    for u, v in combinations(range(order), 2):
+        if side[u] != side[v]:
+            m[u, v] = m[v, u] = 1
+    return ColoredClique(order, p, m)
+
+
+def test_lazy_packing_matches_reference_greedy():
+    for i in range(84):
+        p = (2, 3, 5)[i % 3]
+        order = 4 + i % 14
+        k = random_coloring(order, p, seed=500 + i)
+        for limit in (1, p - 1, order):
+            assert (maximal_disjoint_switchers(k, limit)
+                    == reference_greedy(k, limit))
+
+
+def test_switcher_free_cut_colorings_pack_nothing():
+    # switcher-free but two-colored at p = 2: the scan runs to the end
+    for order in (9, 13):
+        for step in (2, 3, 4, order):  # step = order cuts off vertex 0
+            k = cut_coloring(order, 2, [v % step == 0 for v in range(order)])
+            assert len(np.unique(k.matrix[np.triu_indices(order, 1)])) == 2
+            assert reference_greedy(k, order) == []
+            for limit in (1, order):
+                assert maximal_disjoint_switchers(k, limit) == []
+
+
+def test_one_colored_large_clique_packs_nothing():
+    # K_125 over Z_7: the one-colored remainder ends the scan at once
+    assert maximal_disjoint_switchers(mono(125, 7, color=4), 6) == []
 
 
 def test_greedy_maximality_certificate():

@@ -102,6 +102,16 @@ def test_clique_from_matrix_validation():
         c.value(1, 1)
 
 
+def test_clique_colors_are_read_only():
+    src = np.zeros((4, 4), dtype=np.int16)
+    own = [ColoredClique(4, 2, src), ColoredClique.from_matrix(2, src)]
+    src[0, 1] = src[1, 0] = 1  # edits to the caller's array do not leak in
+    assert [k.value(0, 1) for k in own] == [0, 0]
+    for k in own + [random_coloring(6, 3, seed=5).induced([1, 2, 4])[0]]:
+        with pytest.raises(ValueError):
+            k.matrix[0, 1] = 1
+
+
 def test_induced_subclique_relabels():
     c = random_coloring(7, 5, seed=3)
     sub, labels = c.induced([5, 1, 3])

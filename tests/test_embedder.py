@@ -25,6 +25,7 @@ from zsforest.embedder import (CASE_BUSHY_NONVIBRANT, CASE_BUSHY_VIBRANT,
                                embed_nonbushy_switchable, select_target_sets)
 from zsforest.patterns import forest_of_paths, matching, path, spider, star
 from zsforest.randomgen import random_coloring, random_forest, random_tree
+from zsforest.selftest import _near_mono_clique
 
 
 def mono_clique(order, p, color=0):
@@ -365,6 +366,28 @@ def test_dispatch_guarantee_scale_no_fallback():
         r = find_zero_sum_copy(f, k, 3, allow_fallback=False)
         assert r.case_used != CASE_FALLBACK
         assert verify_report(r)
+
+
+@pytest.mark.parametrize("p, n, order, hosts, paths", [
+    (7, 74, 125, 5, [20, 18, 18, 18]),
+    (11, 242, 329, 2, [22] * 11),
+])
+def test_guarantee_scale_large_primes(p, n, order, hosts, paths):
+    # n = 3p^2 - 12p + 11 and order = n + 9p - 12, on random and on
+    # near-one-colored hosts
+    forests = (random_forest(n, len(paths), seed=p), forest_of_paths(paths))
+    cases = set()
+    for seed in range(hosts):
+        for k in (random_coloring(order, p, seed),
+                  _near_mono_clique(order, p, seed)):
+            for f in forests:
+                assert f.n == n
+                r = find_zero_sum_copy(f, k, p, allow_fallback=False)
+                assert verify_report(r)
+                cases.add(r.case_used)
+    assert CASE_BUSHY_VIBRANT in cases and CASE_BUSHY_NONVIBRANT in cases
+    if p == 7:
+        assert CASE_NONBUSHY_SWITCHABLE in cases
 
 
 # --- verification ------------------------------------------------------------
