@@ -11,9 +11,9 @@ from .classify import (ColorfulWitness, DominantPartition, NoDominantColor,
 from .core import (ColoredClique, CyclicInput, DegreeTwoTriples,
                    DivisibilityViolation, DuplicateEdge, Embedding, Forest,
                    IndexOutOfRange, InsufficientTriples, LeafFamilies,
-                   NotBushy, PreconditionFailed, Residue, ZeroSumError,
-                   build_forest, count_degree2, edge_sum, is_bushy, is_prime,
-                   select_degree2_triples, select_leaf_families)
+                   NotBushy, PreconditionFailed, Residue, SimpleGraph,
+                   ZeroSumError, build_forest, build_graph, edge_sum, is_bushy,
+                   is_prime, select_degree2_triples, select_leaf_families)
 from .embedder import (CaseReport, GreedyStuck, MonochromaticityViolated,
                        NoZeroSumCopy, SelectionExhausted, TargetSets,
                        embed_bushy_nonvibrant, embed_bushy_vibrant,
@@ -26,8 +26,8 @@ from .fileio import (FileFormatError, clique_from_text, clique_to_text,
                      forest_from_text, forest_to_text, graph_from_text,
                      report_from_text, report_to_text)
 from .oracle import (BudgetExceeded, CheckpointMismatch, RamseyResult,
-                     SimpleGraph, brute_zero_sum, build_graph, compute_ramsey,
-                     exact_z2, exact_z3, unavoidable)
+                     brute_zero_sum, compute_ramsey, exact_z2, exact_z3,
+                     unavoidable)
 from .sumset import (EmptyInputSet, MixedModulus, SumsetWitness,
                      iterated_sumset, replay, target_choice)
 
@@ -44,7 +44,7 @@ __all__ = [
     "ParityViolation", "PreconditionFailed", "RamseyResult", "Residue",
     "SelectionExhausted", "SimpleGraph", "SumsetWitness", "SwitcherQuad",
     "TargetSets", "ZeroSumError", "brute_zero_sum", "build_forest",
-    "build_graph", "colorful_witness", "compute_ramsey", "count_degree2",
+    "build_graph", "colorful_witness", "compute_ramsey",
     "clique_from_text", "clique_to_text",
     "dominant_partition", "edge_sum", "embed_bushy_nonvibrant",
     "embed_bushy_vibrant", "embed_nonbushy_nonswitchable",

@@ -11,8 +11,9 @@ Commands:
 
 Exit codes: 0 success or copy found; 1 well-formed negative outcome (no
 copy, value not reached within --max-n, verification mismatch, selftest
-failure); 2 malformed input or an ill-posed question (modulus does not
-divide the edge count); 3 enumeration budget exceeded.
+failure); 2 malformed input, an unreadable or unwritable file (such as a
+checkpoint) or an ill-posed question (modulus does not divide the edge
+count); 3 enumeration budget exceeded.
 
 Reports are `key = value` lines in a fixed order behind the magic first
 line; runs with identical inputs produce byte-identical reports except for
@@ -28,14 +29,12 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .classify import classify
-from .core import (ColoredClique, DivisibilityViolation, Embedding, Forest,
-                   ZeroSumError, edge_sum)
+from .core import ColoredClique, Embedding, Forest, ZeroSumError, edge_sum
 from .embedder import NoZeroSumCopy, find_zero_sum_copy, verify_report
 from .extremal import star_lower_bound_coloring
-from .fileio import (FileFormatError, clique_from_text, clique_to_text,
-                     embedding_from_text, embedding_to_text, forest_from_text,
-                     graph_from_text, read_text, report_from_text,
-                     report_to_text)
+from .fileio import (clique_from_text, clique_to_text, embedding_from_text,
+                     embedding_to_text, forest_from_text, graph_from_text,
+                     read_text, report_from_text, report_to_text)
 from .oracle import DEFAULT_BUDGET, compute_ramsey
 from .randomgen import SCHEME, random_coloring
 
@@ -295,13 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (FileFormatError, DivisibilityViolation, _InputProblem) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ZeroSumError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as err:
+    except (ZeroSumError, _InputProblem, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -1,8 +1,11 @@
-"""Core types for zero-sum embedding work: residues, forests, colored cliques.
+"""Core types for zero-sum embedding work: residues, pattern graphs, colored
+cliques.
 
-Everything here is immutable after construction and safe to share across
-threads. Vertex labels are always 0-based contiguous integers; forests strip
-isolated vertices at construction and remember how many were dropped.
+There is one pattern type, :class:`SimpleGraph`; :class:`Forest` is its
+acyclic subtype, which only :func:`build_forest` creates. Everything here is
+immutable after construction and safe to share across threads. Vertex labels
+are always 0-based contiguous integers; pattern graphs strip isolated
+vertices at construction and remember how many were dropped.
 """
 
 from __future__ import annotations
@@ -118,11 +121,14 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-class Forest:
-    """A simple acyclic graph with no isolated vertices.
+class SimpleGraph:
+    """A simple graph with no isolated vertices: the pattern type.
 
-    Construct via :func:`build_forest`, which validates and strips isolated
+    Construct via :func:`build_graph` (cycles allowed) or :func:`build_forest`
+    (the acyclic subtype :class:`Forest`); both validate and strip isolated
     vertices. ``original_labels[i]`` is the pre-strip label of vertex ``i``.
+    Graphs compare and hash by (type, ``n``, ``edges``), so a forest never
+    equals a general graph with the same edges.
     """
 
     __slots__ = ("n", "edges", "stripped", "original_labels", "_adj", "_deg")
@@ -188,18 +194,25 @@ class Forest:
         return sorted(self.edges)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Forest)
+        return (type(other) is type(self)
                 and self.n == other.n and self.edges == other.edges)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((type(self), self.n, self.edges))
 
     def __repr__(self) -> str:
-        return f"Forest(n={self.n}, edges={self.edge_count})"
+        return f"{type(self).__name__}(n={self.n}, edges={self.edge_count})"
 
 
-def check_simple_edges(n: int, edges: Iterable[tuple[int, int]]
-                       ) -> set[tuple[int, int]]:
+class Forest(SimpleGraph):
+    """A simple acyclic graph with no isolated vertices; built only by
+    :func:`build_forest`, which checks acyclicity first."""
+
+    __slots__ = ()
+
+
+def _check_simple_edges(n: int, edges: Iterable[tuple[int, int]]
+                        ) -> set[tuple[int, int]]:
     """Validate endpoints, loops and duplicates; return normalized pairs."""
     if n < 0:
         raise IndexOutOfRange(f"vertex count {n} is negative")
@@ -216,29 +229,39 @@ def check_simple_edges(n: int, edges: Iterable[tuple[int, int]]
     return seen
 
 
-def strip_isolated(n: int, edgeset: set[tuple[int, int]]
-                   ) -> tuple[int, frozenset, int, tuple]:
-    """Drop degree-0 vertices, relabeling the rest contiguously.
-
-    Returns (new_n, new_edges, stripped_count, original_labels).
-    """
+def _strip_isolated(cls: type, n: int, edgeset: set[tuple[int, int]]):
+    """Drop degree-0 vertices, relabel the rest contiguously, and build a
+    ``cls`` instance from what is left."""
     touched = sorted({w for e in edgeset for w in e})
     relabel = {old: new for new, old in enumerate(touched)}
     new_edges = frozenset(
         _normalize_edge(relabel[u], relabel[v]) for u, v in edgeset)
-    return len(touched), new_edges, n - len(touched), tuple(touched)
+    return cls(n=len(touched), edges=new_edges, stripped=n - len(touched),
+               original_labels=tuple(touched))
+
+
+def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
+    """Validate a simple edge list (cycles allowed) and return the graph with
+    isolated vertices stripped and the remainder relabeled contiguously.
+
+    Raises:
+        IndexOutOfRange: an endpoint is outside [0, n).
+        CyclicInput: a loop is present.
+        DuplicateEdge: the same unordered pair appears twice.
+    """
+    return _strip_isolated(SimpleGraph, n, _check_simple_edges(n, edges))
 
 
 def build_forest(n: int, edges: Iterable[tuple[int, int]]) -> Forest:
-    """Validate an edge list and return the forest with isolated vertices
-    stripped and the remainder relabeled contiguously.
+    """Like :func:`build_graph`, but the edge list must also be acyclic and
+    the result is a :class:`Forest`.
 
     Raises:
         IndexOutOfRange: an endpoint is outside [0, n).
         CyclicInput: a loop or cycle is present.
         DuplicateEdge: the same unordered pair appears twice.
     """
-    seen = check_simple_edges(n, edges)
+    seen = _check_simple_edges(n, edges)
 
     # union-find acyclicity check
     parent = list(range(n))
@@ -255,9 +278,7 @@ def build_forest(n: int, edges: Iterable[tuple[int, int]]) -> Forest:
             raise CyclicInput(f"edge ({u},{v}) closes a cycle")
         parent[ru] = rv
 
-    new_n, new_edges, stripped, labels = strip_isolated(n, seen)
-    return Forest(n=new_n, edges=new_edges, stripped=stripped,
-                  original_labels=labels)
+    return _strip_isolated(Forest, n, seen)
 
 
 class ColoredClique:
@@ -367,7 +388,7 @@ class Embedding:
     are recomputed by the verifiers, never cached.
     """
 
-    pattern: object
+    pattern: SimpleGraph
     host: ColoredClique
     mapping: tuple[int, ...]
 
@@ -446,10 +467,6 @@ def select_leaf_families(f: Forest, p: int) -> LeafFamilies:
     if need > 0:  # cannot happen for a bushy forest
         raise NotBushy(f"only {p - 1 - need} selectable leaves")
     return LeafFamilies(tuple(parents), tuple(counts), tuple(selected))
-
-
-def count_degree2(f: Forest) -> int:
-    return f.degree_count(2)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .classify import (Classification, ColorfulWitness, NoDominantColor,
                        SwitcherQuad, classify, dominant_partition)
 from .core import (ColoredClique, DegreeTwoTriples, DivisibilityViolation,
                    Embedding, Forest, InsufficientTriples, LeafFamilies,
-                   NotBushy, PreconditionFailed, Residue, ZeroSumError,
-                   edge_sum, require_prime, select_degree2_triples,
+                   PreconditionFailed, Residue, ZeroSumError, edge_sum,
+                   require_prime, select_degree2_triples,
                    select_leaf_families)
 from .oracle import brute_zero_sum
 from .sumset import iterated_sumset, target_choice

@@ -1,4 +1,4 @@
-"""Text formats for forests, colorings, and run reports.
+"""Text formats for pattern graphs, colorings, and run reports.
 
 All formats are line oriented; `#` starts a comment and blank lines are
 ignored. Emitters write canonical files (sorted edge lists, no comments) so
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import ColoredClique, Forest, ZeroSumError, build_forest
-from .oracle import SimpleGraph, build_graph
+from .core import (ColoredClique, Forest, SimpleGraph, ZeroSumError,
+                   build_forest, build_graph)
 
 REPORT_MAGIC = "zsr-report v1"
 
@@ -56,9 +56,11 @@ def _parse_edge_header(lines, kind: str):
     return n, m
 
 
-def _parse_edges(text: str, kind: str):
+def _graph_from_text(text: str, build):
+    """Parse an edge-list file and build it with ``build`` (the one path
+    behind :func:`forest_from_text` and :func:`graph_from_text`)."""
     lines = _logical_lines(text)
-    n, m = _parse_edge_header(lines, kind)
+    n, m = _parse_edge_header(lines, "forest")
     edges = []
     for no, line in lines:
         u, v = _ints(no, line, 2, "an edge")
@@ -69,32 +71,23 @@ def _parse_edges(text: str, kind: str):
     if len(edges) != m:
         raise FileFormatError(
             f"header declares {m} edges but {len(edges)} listed")
-    return n, edges
-
-
-def forest_from_text(text: str) -> Forest:
-    n, edges = _parse_edges(text, "forest")
     try:
-        f = build_forest(n, edges)
-    except ZeroSumError as err:
-        raise FileFormatError(str(err)) from err
-    if f.n != n:
-        raise FileFormatError(
-            f"{n - f.n} isolated vertices; every vertex must carry an edge")
-    return f
-
-
-def graph_from_text(text: str) -> SimpleGraph:
-    """Same file format, but cycles are allowed (oracle patterns)."""
-    n, edges = _parse_edges(text, "forest")
-    try:
-        g = build_graph(n, edges)
+        g = build(n, edges)
     except ZeroSumError as err:
         raise FileFormatError(str(err)) from err
     if g.n != n:
         raise FileFormatError(
             f"{n - g.n} isolated vertices; every vertex must carry an edge")
     return g
+
+
+def forest_from_text(text: str) -> Forest:
+    return _graph_from_text(text, build_forest)
+
+
+def graph_from_text(text: str) -> SimpleGraph:
+    """Same file format, but cycles are allowed (oracle patterns)."""
+    return _graph_from_text(text, build_graph)
 
 
 def forest_to_text(f) -> str:

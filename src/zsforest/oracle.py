@@ -10,6 +10,10 @@ constructive embedder so they can serve as its oracle:
   contains a zero-sum copy; :func:`compute_ramsey` scans orders upward and
   asserts the defining property directly, never assuming monotonicity.
 
+Patterns are :class:`~zsforest.core.SimpleGraph` instances: any simple graph
+from ``build_graph``, cycles allowed, or a ``Forest`` from ``build_forest``.
+Anything else is rejected with ``TypeError``.
+
 Colorings are identified with base-k counters: edges are sorted
 lexicographically ((0,1) < (0,2) < ... < (1,2) < ...) and the first edge is
 the most significant digit, so counter order equals lexicographic coloring
@@ -23,12 +27,12 @@ import hashlib
 import os
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
-from typing import Iterable, Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .core import (ColoredClique, DivisibilityViolation, Embedding, Forest,
-                   ZeroSumError, check_simple_edges, strip_isolated)
+                   SimpleGraph, ZeroSumError)
 
 DEFAULT_BUDGET = 20_000_000
 _CHUNK_ROWS = 1 << 16
@@ -42,53 +46,17 @@ class CheckpointMismatch(ZeroSumError):
     """Checkpoint file belongs to a different enumeration."""
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """A simple pattern graph; cycles allowed, isolated vertices stripped."""
-
-    n: int
-    edges: frozenset
-    stripped: int
-    original_labels: tuple
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        d = [0] * self.n
-        for u, v in self.edges:
-            d[u] += 1
-            d[v] += 1
-        return tuple(d)
-
-
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
-    """Validate a simple edge list (cycles fine) and strip isolated vertices."""
-    seen = check_simple_edges(n, edges)
-    new_n, new_edges, stripped, labels = strip_isolated(n, seen)
-    return SimpleGraph(n=new_n, edges=new_edges, stripped=stripped,
-                       original_labels=labels)
-
-
-Pattern = Union[Forest, SimpleGraph]
-
-
-def _as_pattern(g) -> Pattern:
-    if isinstance(g, (Forest, SimpleGraph)):
+def _as_pattern(g) -> SimpleGraph:
+    if isinstance(g, SimpleGraph):
         return g
-    raise TypeError(f"expected Forest or SimpleGraph, got {type(g).__name__}")
+    raise TypeError(f"expected a SimpleGraph, got {type(g).__name__}")
 
 
 # ---------------------------------------------------------------------------
 # backtracking search in a single colored clique
 # ---------------------------------------------------------------------------
 
-def brute_zero_sum(g: Pattern, host: ColoredClique,
+def brute_zero_sum(g: SimpleGraph, host: ColoredClique,
                    p: Optional[int] = None) -> Optional[Embedding]:
     """First zero-sum copy of g in the host, or None after exhausting all
     injective placements.
@@ -150,7 +118,7 @@ def _edge_list(order: int) -> list[tuple[int, int]]:
     return list(combinations(range(order), 2))
 
 
-def _subgraph_copies(g: Pattern, order: int) -> np.ndarray:
+def _subgraph_copies(g: SimpleGraph, order: int) -> np.ndarray:
     """Distinct edge-index sets of all copies of g inside K_order.
 
     Copies with identical edge sets (automorphic images) are deduplicated;
@@ -174,7 +142,8 @@ def _subgraph_copies(g: Pattern, order: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def _fingerprint(g: Pattern, order: int, k: int, reduce_symmetry: bool) -> str:
+def _fingerprint(g: SimpleGraph, order: int, k: int,
+                 reduce_symmetry: bool) -> str:
     text = f"{order}|{k}|{int(reduce_symmetry)}|{g.n}|{g.sorted_edges()}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
@@ -300,7 +269,7 @@ class ScanResult:
     enumerated_space: int
 
 
-def scan_colorings(g: Pattern, order: int, k: int,
+def scan_colorings(g: SimpleGraph, order: int, k: int,
                    budget: int = DEFAULT_BUDGET, *,
                    reduce_symmetry: bool = False, jobs: int = 1,
                    checkpoint: Optional[str] = None) -> ScanResult:
@@ -375,7 +344,7 @@ def scan_colorings(g: Pattern, order: int, k: int,
                       checked, enum.total)
 
 
-def unavoidable(g: Pattern, order: int, k: int,
+def unavoidable(g: SimpleGraph, order: int, k: int,
                 budget: int = DEFAULT_BUDGET, *,
                 reduce_symmetry: bool = False, jobs: int = 1,
                 checkpoint: Optional[str] = None) -> bool:
@@ -386,7 +355,7 @@ def unavoidable(g: Pattern, order: int, k: int,
 
 @dataclass(frozen=True)
 class RamseyResult:
-    pattern: Pattern
+    pattern: SimpleGraph
     modulus: int
     value: Optional[int]
     limit: Optional[str]  # None, "budget" or "max_n"
@@ -394,7 +363,7 @@ class RamseyResult:
     colorings_checked: int
 
 
-def compute_ramsey(g: Pattern, k: int, max_n: int,
+def compute_ramsey(g: SimpleGraph, k: int, max_n: int,
                    budget: int = DEFAULT_BUDGET, *,
                    reduce_symmetry: bool = False, jobs: int = 1,
                    checkpoint: Optional[str] = None) -> RamseyResult:
@@ -440,35 +409,12 @@ def compute_ramsey(g: Pattern, k: int, max_n: int,
 # closed-form values for k = 2 and k = 3
 # ---------------------------------------------------------------------------
 
-def _component_vertex_sets(g: Pattern) -> list[set[int]]:
-    adj: dict[int, set[int]] = {v: set() for v in range(g.n)}
-    for u, v in g.edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    comps = []
-    left = set(range(g.n))
-    while left:
-        s = min(left)
-        comp = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-        left -= comp
-    return comps
+def _is_complete_on(g: SimpleGraph, comp: list[int]) -> bool:
+    """True when the connected component ``comp`` is a clique."""
+    return all(g.degree(v) == len(comp) - 1 for v in comp)
 
 
-def _is_complete_on(g: Pattern, verts: set[int]) -> bool:
-    need = len(verts) * (len(verts) - 1) // 2
-    have = sum(1 for u, v in g.edges if u in verts and v in verts)
-    return have == need
-
-
-def exact_z2(g: Pattern) -> int:
+def exact_z2(g: SimpleGraph) -> int:
     """Exact zero-sum Ramsey number over Z_2 for a simple graph with an even
     number of edges and no isolated vertices."""
     g = _as_pattern(g)
@@ -476,7 +422,7 @@ def exact_z2(g: Pattern) -> int:
         raise DivisibilityViolation(
             f"2 does not divide edge count {g.edge_count}")
     n = g.n
-    comps = _component_vertex_sets(g)
+    comps = g.components()
     degrees = list(g.degrees)
 
     if len(comps) == 1 and _is_complete_on(g, comps[0]) and n % 4 in (0, 1):

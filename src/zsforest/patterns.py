@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .core import Forest, build_forest
-from .oracle import SimpleGraph, build_graph
+from .core import Forest, SimpleGraph, build_forest, build_graph
 
 
 def path(n: int) -> Forest:

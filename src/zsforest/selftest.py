@@ -31,8 +31,7 @@ import numpy as np
 
 from .classify import (dominant_partition, maximal_disjoint_switchers,
                        vibrant_vertices)
-from .core import (ColoredClique, Forest, Residue, count_degree2, edge_sum,
-                   is_bushy)
+from .core import ColoredClique, Forest, Residue, edge_sum, is_bushy
 from .embedder import (CASE_BUSHY_VIBRANT, CASE_FALLBACK,
                        CASE_NONBUSHY_NONSWITCHABLE, CASE_NONBUSHY_SWITCHABLE,
                        NoZeroSumCopy, embed_bushy_vibrant,
@@ -423,8 +422,8 @@ def criterion_7() -> tuple[bool, str]:
         if is_bushy(f, p):
             continue
         nonbushy += 1
-        if count_degree2(f) < f.n - 4 * p:
-            problems.append(f"forest {i}: degree-2 count {count_degree2(f)}")
+        if f.degree_count(2) < f.n - 4 * p:
+            problems.append(f"forest {i}: degree-2 count {f.degree_count(2)}")
 
     ok = not problems
     detail = (f"{'; '.join(scans)}; {part_checked} partitions; "

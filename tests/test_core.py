@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from zsforest import (ColoredClique, CyclicInput, DuplicateEdge, Embedding,
-                      IndexOutOfRange, InsufficientTriples, NotBushy, Residue,
-                      build_forest, count_degree2, edge_sum, is_bushy,
-                      is_prime, select_degree2_triples, select_leaf_families)
+                      Forest, IndexOutOfRange, InsufficientTriples, NotBushy,
+                      Residue, SimpleGraph, build_forest, build_graph,
+                      edge_sum, is_bushy, is_prime, select_degree2_triples,
+                      select_leaf_families)
 from zsforest.patterns import forest_of_paths, matching, path, spider, star
 from zsforest.randomgen import (random_bushy_tree, random_coloring,
                                 random_forest, random_tree, splitmix64)
@@ -36,6 +37,54 @@ def test_isolated_vertices_stripped_with_label_map():
     assert f.stripped == 3
     assert f.original_labels == (1, 4, 5)
     assert sorted(f.edges) == [(0, 1), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# one pattern type: SimpleGraph, with Forest as its acyclic subtype
+# ---------------------------------------------------------------------------
+
+C4_EDGES = [(0, 1), (1, 2), (2, 3), (3, 0)]
+
+
+def test_forest_is_the_acyclic_simple_graph():
+    assert isinstance(path(4), SimpleGraph)
+    c4 = build_graph(4, C4_EDGES)
+    assert isinstance(c4, SimpleGraph) and not isinstance(c4, Forest)
+    with pytest.raises(CyclicInput):
+        build_forest(4, C4_EDGES)
+
+
+@pytest.mark.parametrize("n, edges, components, degrees, neighbors", [
+    # C_4
+    (4, C4_EDGES, [[0, 1, 2, 3]], (2, 2, 2, 2), {0: (1, 3), 2: (1, 3)}),
+    # K_4
+    (4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+     [[0, 1, 2, 3]], (3, 3, 3, 3), {0: (1, 2, 3), 2: (0, 1, 3)}),
+    # two disjoint triangles, on interleaved labels
+    (6, [(0, 2), (2, 4), (4, 0), (1, 3), (3, 5), (5, 1)],
+     [[0, 2, 4], [1, 3, 5]], (2,) * 6, {0: (2, 4), 3: (1, 5)}),
+])
+def test_graph_structure_hand_computed(n, edges, components, degrees,
+                                       neighbors):
+    g = build_graph(n, edges)
+    assert g.n == n and g.edge_count == len(edges)
+    assert g.components() == components
+    assert g.degrees == degrees
+    for v, nb in neighbors.items():
+        assert g.neighbors(v) == nb
+
+
+def test_forest_never_equals_graph_with_same_edges():
+    edges = [(0, 1), (1, 2), (1, 3)]
+    f, g = build_forest(4, edges), build_graph(4, edges)
+    assert f.sorted_edges() == g.sorted_edges()
+    assert f != g and g != f
+    assert len({f, g}) == 2
+    for same in (build_forest(4, edges[::-1]), build_graph(4, edges[::-1])):
+        original = f if isinstance(same, Forest) else g
+        assert same == original and hash(same) == hash(original)
+    c4, c4_again = build_graph(4, C4_EDGES), build_graph(4, C4_EDGES[::-1])
+    assert c4 == c4_again and hash(c4) == hash(c4_again)
 
 
 def test_forest_accessors():
@@ -224,9 +273,9 @@ def test_leaf_families_on_bushy_multicomponent_forests():
 # degree-2 census and triples
 # ---------------------------------------------------------------------------
 
-def test_count_degree2_examples():
-    assert count_degree2(path(10)) == 8
-    assert count_degree2(star(4)) == 0
+def test_degree_count_examples():
+    assert path(10).degree_count(2) == 8
+    assert star(4).degree_count(2) == 0
 
 
 def test_degree2_triples_frozen_examples():

@@ -33,6 +33,9 @@ def test_forest_comments_and_blanks():
     assert forest_from_text(text) == path(3)
 
 
+FOREST_CYCLE = "forest 3 3\n0 1\n1 2\n0 2\n"
+
+
 @pytest.mark.parametrize("text", [
     "",
     "woods 3 2\n0 1\n1 2\n",
@@ -43,13 +46,16 @@ def test_forest_comments_and_blanks():
     "forest 3 2\n0 1\n0 1\n",         # duplicate
     "forest 3 2\n0 1\n1 3\n",         # out of range
     "forest 3 2\n0 1\n1 x\n",
-    "forest 3 3\n0 1\n1 2\n0 2\n",    # cycle
+    FOREST_CYCLE,
     "forest 4 2\n0 1\n1 2\n",         # vertex 3 isolated
     "forest -1 0\n",
 ])
 def test_forest_rejects(text):
     with pytest.raises(FileFormatError):
         forest_from_text(text)
+    if text != FOREST_CYCLE:  # the one input that is a valid general graph
+        with pytest.raises(FileFormatError):
+            graph_from_text(text)
 
 
 def test_graph_allows_cycles():
@@ -156,6 +162,18 @@ def test_cli_ramsey_example(files, capsys):
     assert dict(report_from_text(out))["value"] == "4"
 
 
+def test_cli_ramsey_checkpoint_io_errors(files, capsys):
+    # a checkpoint in a missing directory fails on the first write, and one
+    # that names a directory fails on the first read: both are bad input
+    for ckpt in (files / "no" / "such" / "dir" / "scan.ckpt", files):
+        code, out, err = run(capsys, "ramsey",
+                             "--graph", str(files / "c4.forest"),
+                             "--k", "2", "--max-n", "6",
+                             "--checkpoint", str(ckpt))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_find_on_extremal_coloring(files, capsys):
     code, out, _ = run(capsys, "extremal", "star", "--n", "4", "--p", "3")
     assert code == 0
@@ -259,6 +277,18 @@ def test_cli_ramsey_jobs_and_checkpoint(files, capsys):
                        "--checkpoint", ckpt)
     assert code == 0
     assert dict(report_from_text(out))["value"] == "4"
+
+
+def test_cli_ramsey_checkpoint_io_errors(files, capsys):
+    # a checkpoint in a missing directory fails on the first write, and one
+    # that names a directory fails on the first read: both are bad input
+    for ckpt in (files / "no" / "such" / "dir" / "scan.ckpt", files):
+        code, out, err = run(capsys, "ramsey",
+                             "--graph", str(files / "c4.forest"),
+                             "--k", "2", "--max-n", "6",
+                             "--checkpoint", str(ckpt))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_cli_selftest_single(capsys):

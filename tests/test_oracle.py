@@ -1,8 +1,6 @@
 """Exhaustive-engine tests: frozen small Ramsey values, cross-checks between
 the backtracker and the block scan, checkpointing, budgets, closed forms."""
 
-import os
-
 import numpy as np
 import pytest
 
@@ -294,6 +292,27 @@ def test_exact_z2_agrees_with_enumeration():
             continue
         r = compute_ramsey(g, 2, 8)
         assert r.value == exact_z2(g), (edges, r.value, exact_z2(g))
+
+
+def test_exact_z2_same_on_forest_and_graph():
+    forests = [path(3), path(5), star(4), matching(2), matching(4),
+               build_forest(7, [(0, 1), (1, 2), (2, 3), (1, 4), (5, 6),
+                                (4, 6)])]
+    for f in forests:
+        g = build_graph(f.n, f.sorted_edges())
+        assert g != f
+        assert exact_z2(g) == exact_z2(f), f.sorted_edges()
+
+
+def test_oracle_rejects_bare_edge_lists():
+    edges = [(0, 1), (1, 2)]
+    host = ColoredClique(4, 2, np.zeros((4, 4), dtype=np.int16))
+    with pytest.raises(TypeError):
+        brute_zero_sum(edges, host)
+    with pytest.raises(TypeError):
+        scan_colorings(edges, 4, 2)
+    with pytest.raises(TypeError):
+        exact_z2(edges)
 
 
 def test_exact_z3_known_values():
