@@ -179,10 +179,12 @@ def cmd_ramsey(args) -> int:
     started = time.monotonic()
     g = graph_from_text(read_text(args.graph))
     res = compute_ramsey(g, args.k, args.max_n, args.budget,
+                         reduce_symmetry=args.reduce_symmetry,
                          jobs=args.jobs, checkpoint=args.checkpoint)
     fields = [("version", __version__), ("command", "ramsey"),
               ("graph_n", str(g.n)), ("graph_edges", str(g.edge_count)),
               ("modulus", str(args.k)), ("max_n", str(args.max_n)),
+              ("reduce_symmetry", "yes" if args.reduce_symmetry else "no"),
               ("value", "none" if res.value is None else str(res.value)),
               ("limit", res.limit or "none"),
               ("colorings_checked", str(res.colorings_checked))]
@@ -266,6 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--max-n", type=int, default=12)
     c.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max colorings per order")
+    c.add_argument("--reduce-symmetry", action="store_true",
+                   help="scan only colorings whose vertex-0 edges are "
+                        "non-decreasing")
     c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--checkpoint")
     c.set_defaults(fn=cmd_ramsey)

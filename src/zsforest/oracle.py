@@ -17,8 +17,21 @@ Anything else is rejected with ``TypeError``.
 Colorings are identified with base-k counters: edges are sorted
 lexicographically ((0,1) < (0,2) < ... < (1,2) < ...) and the first edge is
 the most significant digit, so counter order equals lexicographic coloring
-order. Checkpoints store the next counter plus a fingerprint of the
-enumeration (pattern, order, modulus, reduction mode).
+order. A checkpoint file holds one line per order, the next counter to scan
+and a fingerprint of the enumeration (pattern, modulus, reduction mode,
+order).
+
+Cost of a scan over m = C(N,2) edges with C distinct copies of the pattern.
+The check splits the counter at its L low digits, L about m/2 (at most the
+suffix length under the reduction, and k^L <= 2^16). Once per scan it sums
+each copy's low edges for all k^L low-digit rows and packs the residues
+into C*k bitmasks of k^L bits. Each aligned block of k^L counters then
+costs one small matmul for the copies' high sums and an OR of C selected
+masks, so a scan of S colorings does about C*S/64 word operations and
+nothing per coloring in Python. Batches keep the gathered masks to about
+1 MB. On a 2-vCPU shared VM, P_4 in K_6 over Z_3 (3^15 colorings, 360
+copies) takes about 0.1 s, and the reduced scan of P_4 in K_7 over Z_3
+(4.0e8 colorings, 420 copies) about 5 s.
 """
 
 from __future__ import annotations
@@ -35,7 +48,9 @@ from .core import (ColoredClique, DivisibilityViolation, Embedding, Forest,
                    SimpleGraph, ZeroSumError)
 
 DEFAULT_BUDGET = 20_000_000
-_CHUNK_ROWS = 1 << 16
+_TASK_COLORINGS = 1 << 16  # least colorings per task, so per checkpoint write
+_MAX_BLOCK = 1 << 16  # most low-digit rows per block
+_BATCH_WORDS = 1 << 17  # 64-bit words gathered at once, about 1 MB
 
 
 class BudgetExceeded(ZeroSumError):
@@ -144,24 +159,53 @@ def _subgraph_copies(g: SimpleGraph, order: int) -> np.ndarray:
 
 def _fingerprint(g: SimpleGraph, order: int, k: int,
                  reduce_symmetry: bool) -> str:
+    """Name of one order's checkpoint entry: a hash of the pattern, modulus
+    and reduction mode, then the order."""
+    text = f"{k}|{int(reduce_symmetry)}|{g.n}|{g.sorted_edges()}"
+    return f"{hashlib.sha256(text.encode()).hexdigest()[:16]}-{order}"
+
+
+def _single_order_fingerprint(g: SimpleGraph, order: int, k: int,
+                              reduce_symmetry: bool) -> str:
+    """The name earlier versions gave the one entry of their files."""
     text = f"{order}|{k}|{int(reduce_symmetry)}|{g.n}|{g.sorted_edges()}"
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def read_checkpoint(path: str) -> tuple[int, str]:
+def _read_entries(path: str) -> dict[str, int]:
+    """Checkpoint entries in file order: fingerprint -> next counter."""
+    entries = {}
     with open(path, "r", encoding="ascii") as fh:
-        line = fh.readline().strip()
-    parts = line.split()
-    if len(parts) != 2 or not parts[0].isdigit():
-        raise CheckpointMismatch(f"malformed checkpoint: {line!r}")
-    return int(parts[0]), parts[1]
+        for line in fh:
+            parts = line.split()
+            if len(parts) != 2 or not parts[0].isdigit():
+                raise CheckpointMismatch(
+                    f"malformed checkpoint: {line.strip()!r}")
+            entries[parts[1]] = int(parts[0])
+    if not entries:
+        raise CheckpointMismatch(f"empty checkpoint: {path}")
+    return entries
+
+
+def _write_entries(path: str, entries: dict[str, int]) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="ascii") as fh:
+        fh.writelines(f"{counter} {fp}\n" for fp, counter in entries.items())
+    os.replace(tmp, path)
+
+
+def read_checkpoint(path: str) -> tuple[int, str]:
+    """The last entry in the file, as (next counter, fingerprint). Each new
+    order's entry goes to the end."""
+    fp, counter = list(_read_entries(path).items())[-1]
+    return counter, fp
 
 
 def write_checkpoint(path: str, counter: int, fingerprint: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"{counter} {fingerprint}\n")
-    os.replace(tmp, path)
+    """Set one entry, keeping the entries of the other orders."""
+    entries = _read_entries(path) if os.path.exists(path) else {}
+    entries[fingerprint] = counter
+    _write_entries(path, entries)
 
 
 class _Enumeration:
@@ -187,31 +231,17 @@ class _Enumeration:
             self.suffix_size = k ** self.m
             self.total = self.suffix_size
 
-    def chunks(self, start: int, chunk_rows: int = _CHUNK_ROWS):
-        """Yield (start, count) tasks, never straddling a prefix boundary."""
-        pos = start
-        while pos < self.total:
-            count = min(chunk_rows, self.total - pos)
-            if self.reduce:
-                room = self.suffix_size - (pos % self.suffix_size)
-                count = min(count, room)
-            yield (pos, count)
-            pos += count
-
-    def colors_block(self, start: int, count: int) -> np.ndarray:
-        """Color digits for counters [start, start+count), shape (count, m)."""
+    def colors_block(self, start: int, count: int, step: int = 1
+                     ) -> np.ndarray:
+        """Color digits of the counters start, start + step, ... (count of
+        them), shape (count, m)."""
+        idx = np.arange(start, start + count * step, step, dtype=np.int64)
         out = np.empty((count, self.m), dtype=np.int16)
+        lo = 0
         if self.reduce:
-            rank = start // self.suffix_size
-            assert (start + count - 1) // self.suffix_size == rank
-            d = self.order - 1
-            out[:, :d] = self.prefixes[rank]
-            idx = np.arange(start % self.suffix_size,
-                            start % self.suffix_size + count, dtype=np.int64)
-            lo = d
-        else:
-            idx = np.arange(start, start + count, dtype=np.int64)
-            lo = 0
+            lo = self.order - 1
+            rank, idx = np.divmod(idx, self.suffix_size)
+            out[:, :lo] = self.prefixes[rank]
         for j in range(self.m - 1, lo - 1, -1):
             out[:, j] = idx % self.k
             idx //= self.k
@@ -226,38 +256,113 @@ class _Enumeration:
         return ColoredClique(self.order, self.k, mat)
 
 
-def _scan_block(colors: np.ndarray, copies: np.ndarray, k: int
-                ) -> Optional[int]:
-    """Offset of the first row with no zero-sum copy, or None."""
-    if copies.size == 0:
-        return 0  # nothing can be embedded, every coloring is a counterexample
-    nrows = colors.shape[0]
-    mask = np.zeros(nrows, dtype=bool)
-    for row in copies:
-        sums = colors[:, row].sum(axis=1, dtype=np.int32)
-        mask |= (sums % k) == 0
-        if mask.all():
-            return None
-    missing = np.flatnonzero(~mask)
-    return int(missing[0]) if missing.size else None
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack bools along the last axis (a multiple of 64 long) into 64-bit
+    words, element i at bit i % 64 of word i // 64."""
+    return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
+
+
+class _SplitScan:
+    """The zero-sum check over counter ranges of one coloring space, split
+    at the low digits.
+
+    A block is an aligned run of k^L counters: it fixes the high m - L
+    digits and runs through every assignment of the L low ones. So each
+    copy's sum over its low edges is known per low-digit row once per scan,
+    and stored as one bitmask per (copy, residue) marking the rows where it
+    takes that residue. A block's colorings with a zero-sum copy are then
+    the OR, over copies, of the mask selected by minus the copy's high sum.
+    """
+
+    def __init__(self, enum: _Enumeration, copies: np.ndarray):
+        k, m = enum.k, enum.m
+        low = min((m + 1) // 2, enum.suffix_len)
+        while k ** low > _MAX_BLOCK:
+            low -= 1
+        self.enum = enum
+        self.split = m - low  # number of high digits
+        self.block = k ** low
+        self.words = words = -(-self.block // 64)
+        ncopies = len(copies)
+        incidence = np.zeros((m, ncopies), dtype=np.int16)
+        incidence[copies, np.arange(ncopies)[:, None]] = 1
+        self.high = incidence[:self.split]
+        self.offsets = np.arange(ncopies) * k
+
+        low_digits = enum.colors_block(0, self.block)[:, self.split:]
+        residues = np.arange(k)[:, None]
+        self.masks = np.empty((ncopies * k, words), dtype=np.uint64)
+        # copies per pass, keeping each pass's temporaries near 256 KB
+        step = max(1, min(ncopies, 2 * _BATCH_WORDS // (k * words * 64)))
+        sums = np.full((step, words * 64), -1, dtype=np.int16)
+        for c0 in range(0, ncopies, step):
+            part = incidence[self.split:, c0:c0 + step]
+            sums[:part.shape[1], :self.block] = (low_digits @ part).T % k
+            hit = sums[:part.shape[1], None, :] == residues
+            self.masks[c0 * k:(c0 + step) * k] = (
+                _pack(hit).reshape(-1, words))
+        # rows past the end of a block, set so that they never look missing
+        self.pad = _pack(np.arange(words * 64) >= self.block)
+
+        self.copy_step = max(1, min(ncopies, _BATCH_WORDS // words))
+        self.batch = max(1, min(enum.total // self.block,
+                                _BATCH_WORDS // (self.copy_step * words)))
+        # one gather buffer for every batch: a fresh 1 MB array per batch
+        # comes from new pages each time and took twice as long
+        self.gathered = np.empty(self.batch * self.copy_step * words,
+                                 dtype=np.uint64)
+
+    def tasks(self, start: int):
+        """(start, stop) ranges from start to the end of the space; each
+        stops on a batch boundary at least 2^16 counters on, or at the end."""
+        unit = self.batch * self.block
+        pos = start
+        while pos < self.enum.total:
+            stop = min(self.enum.total,
+                       -(-(pos + _TASK_COLORINGS) // unit) * unit)
+            yield pos, stop
+            pos = stop
+
+    def first_missing(self, start: int, stop: int) -> Optional[int]:
+        """Lowest counter in [start, stop) whose coloring has no zero-sum
+        copy, or None. ``stop`` is a multiple of the block length."""
+        block, words = self.block, self.words
+        for b0 in range(start // block, stop // block, self.batch):
+            nb = min(self.batch, stop // block - b0)
+            high = self.enum.colors_block(b0 * block, nb, block)
+            # mask row of (copy, residue) = (copy, minus the high sum)
+            picks = ((-(high[:, :self.split] @ self.high)) % self.enum.k
+                     + self.offsets)
+            seen = np.tile(self.pad, (nb, 1))
+            if b0 * block < start:  # resuming inside this block
+                seen[0] |= _pack(np.arange(words * 64) < start - b0 * block)
+            for c0 in range(0, picks.shape[1], self.copy_step):
+                part = picks[:, c0:c0 + self.copy_step]
+                picked = self.gathered[:part.size * words].reshape(
+                    *part.shape, words)
+                np.take(self.masks, part, axis=0, out=picked, mode="clip")
+                seen |= np.bitwise_or.reduce(picked, axis=1)
+            unseen = ~seen
+            missing = np.flatnonzero(unseen)
+            if missing.size:
+                b, w = divmod(int(missing[0]), words)
+                bits = int(unseen[b, w])
+                bit = (bits & -bits).bit_length() - 1
+                return (b0 + b) * block + 64 * w + bit
+        return None
 
 
 # worker state for sharded scans (populated per process by the initializer)
 _WORKER: dict = {}
 
 
-def _init_worker(order: int, k: int, reduce_symmetry: bool,
-                 copies: np.ndarray) -> None:
-    _WORKER["enum"] = _Enumeration(order, k, reduce_symmetry)
-    _WORKER["copies"] = copies
-    _WORKER["k"] = k
+def _init_worker(scan: _SplitScan) -> None:
+    _WORKER["scan"] = scan
 
 
 def _run_task(task: tuple[int, int]) -> tuple[int, int, Optional[int]]:
-    start, count = task
-    colors = _WORKER["enum"].colors_block(start, count)
-    off = _scan_block(colors, _WORKER["copies"], _WORKER["k"])
-    return start, count, off
+    start, stop = task
+    return start, stop, _WORKER["scan"].first_missing(start, stop)
 
 
 @dataclass(frozen=True)
@@ -276,8 +381,14 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
     """Decide whether every Z_k coloring of K_order has a zero-sum copy of g.
 
     Counterexamples are reported at their lowest counter regardless of the
-    jobs setting: sharded chunks are consumed in submission order and the scan
-    stops at the first chunk containing a witness.
+    jobs setting: sharded tasks are consumed in submission order and the
+    scan stops at the first task containing a witness.
+
+    A checkpoint file holds one entry per order, so scans of successive
+    orders (as :func:`compute_ramsey` runs them) can share one file. Each
+    entry is the next counter not yet known to have a zero-sum copy; a scan
+    resumes from its order's entry, and raises CheckpointMismatch on an
+    entry written for another pattern, modulus or reduction mode.
     """
     g = _as_pattern(g)
     if k < 2:
@@ -294,51 +405,56 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
         return ScanResult(False, 0, enum.coloring_at(0), 0, enum.total)
 
     fingerprint = _fingerprint(g, order, k, enum.reduce)
-    start = 0
+    entries: dict[str, int] = {}
     if checkpoint is not None and os.path.exists(checkpoint):
-        counter, stored = read_checkpoint(checkpoint)
-        if stored != fingerprint:
+        entries = _read_entries(checkpoint)
+        old = _single_order_fingerprint(g, order, k, enum.reduce)
+        if old in entries:
+            entries[fingerprint] = entries.pop(old)
+        family = fingerprint.rsplit("-", 1)[0]
+        if any(fp.rsplit("-", 1)[0] != family for fp in entries):
             raise CheckpointMismatch(
                 f"checkpoint {checkpoint} was written by a different scan")
-        start = min(counter, enum.total)
+    start = min(entries.get(fingerprint, 0), enum.total)
 
-    copies = _subgraph_copies(g, order)
+    def save(counter: int) -> None:
+        if checkpoint is not None:
+            entries[fingerprint] = counter
+            _write_entries(checkpoint, entries)
+
     checked = 0
     witness_counter: Optional[int] = None
 
-    def consume(task_start: int, count: int, off: Optional[int]) -> bool:
+    def consume(task_start: int, stop: int, found: Optional[int]) -> bool:
         """Advance the frontier; True means stop (witness found)."""
         nonlocal checked, witness_counter
-        if off is not None:
-            checked += off + 1
-            witness_counter = task_start + off
+        if found is not None:
+            checked += found - task_start + 1
+            witness_counter = found
+            save(found)
             return True
-        checked += count
-        if checkpoint is not None:
-            write_checkpoint(checkpoint, task_start + count, fingerprint)
+        checked += stop - task_start
+        save(stop)
         return False
 
-    tasks = enum.chunks(start)
+    scan = _SplitScan(enum, _subgraph_copies(g, order))
     if jobs <= 1:
-        for task_start, count in tasks:
-            colors = enum.colors_block(task_start, count)
-            off = _scan_block(colors, copies, k)
-            if consume(task_start, count, off):
+        for task_start, stop in scan.tasks(start):
+            if consume(task_start, stop,
+                       scan.first_missing(task_start, stop)):
                 break
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(
-                jobs, initializer=_init_worker,
-                initargs=(order, k, enum.reduce, copies)) as pool:
-            for task_start, count, off in pool.imap(_run_task, tasks):
-                if consume(task_start, count, off):
+        with multiprocessing.Pool(jobs, initializer=_init_worker,
+                                  initargs=(scan,)) as pool:
+            for result in pool.imap(_run_task, scan.tasks(start)):
+                if consume(*result):
                     pool.terminate()
                     break
 
     if witness_counter is None:
-        if checkpoint is not None:
-            write_checkpoint(checkpoint, enum.total, fingerprint)
+        save(enum.total)
         return ScanResult(True, None, None, checked, enum.total)
     return ScanResult(False, witness_counter, enum.coloring_at(witness_counter),
                       checked, enum.total)

@@ -1,6 +1,8 @@
 """Exhaustive-engine tests: frozen small Ramsey values, cross-checks between
 the backtracker and the block scan, checkpointing, budgets, closed forms."""
 
+from itertools import combinations, combinations_with_replacement, permutations
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from zsforest import (BudgetExceeded, CheckpointMismatch, ColoredClique,
                       DivisibilityViolation, brute_zero_sum, build_forest,
                       build_graph, compute_ramsey, edge_sum, exact_z2,
                       exact_z3, unavoidable)
+from zsforest import oracle
 from zsforest.oracle import (_Enumeration, _subgraph_copies, read_checkpoint,
                              scan_colorings, write_checkpoint)
 
@@ -150,6 +153,98 @@ def test_scan_agrees_with_backtracker_everywhere():
             assert edge_sum(emb).value == 0
 
 
+def _reference_scan(g, order, k, reduce_symmetry, start=0):
+    """(unavoidable, witness counter, colorings checked, witness digits)
+    from decoding every counter from start on and summing every copy."""
+    pairs = list(combinations(range(order), 2))
+    index = {e: i for i, e in enumerate(pairs)}
+    copies = {frozenset(index[tuple(sorted((phi[u], phi[v])))]
+                        for u, v in g.edges)
+              for phi in permutations(range(order), g.n)}
+    m = len(pairs)
+    prefixes = [()]
+    low = m
+    if reduce_symmetry:
+        prefixes = list(combinations_with_replacement(range(k), order - 1))
+        low = m - (order - 1)
+    total = len(prefixes) * k ** low
+    counters = np.arange(start, total)
+    digits = np.zeros((len(counters), m), dtype=np.int64)
+    rank, rest = np.divmod(counters, k ** low)
+    for j in range(m - 1, m - low - 1, -1):
+        rest, digits[:, j] = np.divmod(rest, k)
+    digits[:, :m - low] = np.array(prefixes, dtype=np.int64)[rank]
+    hit = np.zeros(len(counters), dtype=bool)
+    for copy in copies:
+        hit |= digits[:, sorted(copy)].sum(axis=1) % k == 0
+    missing = np.flatnonzero(~hit)
+    if missing.size == 0:
+        return True, None, total - start, None
+    i = int(missing[0])
+    return False, start + i, i + 1, digits[i]
+
+
+def _agrees(res, ref, order):
+    unavoidable_, counter, checked, digits = ref
+    assert (res.unavoidable, res.witness_counter,
+            res.colorings_checked) == (unavoidable_, counter, checked)
+    if digits is not None:
+        iu = np.triu_indices(order, 1)
+        assert list(res.witness.matrix[iu]) == list(digits)
+
+
+EQUIVALENCE_CASES = [
+    (g, order, k)
+    for g in (matching(2), path(3), path(4), star(3), C4)
+    for k in (2, 3, 4, 5)
+    for order in range(g.n, 9)
+    if k ** (order * (order - 1) // 2) <= 10 ** 5]
+
+
+@pytest.mark.parametrize("reduce_symmetry", [False, True],
+                         ids=["plain", "reduced"])
+def test_split_digit_scan_matches_direct_sums(reduce_symmetry):
+    assert len(EQUIVALENCE_CASES) == 39
+    for g, order, k in EQUIVALENCE_CASES:
+        res = scan_colorings(g, order, k, reduce_symmetry=reduce_symmetry)
+        _agrees(res, _reference_scan(g, order, k, reduce_symmetry), order)
+
+
+def test_split_digit_scan_resumes_inside_a_block(tmp_path):
+    # P_4 in K_5 over Z_3 has 3^5-row blocks; none of these starts is a
+    # multiple of 243, and the witnesses of K_{1,3} lie near 3050
+    for i, (g, reduce_symmetry, starts) in enumerate((
+            (path(4), False, (1, 242, 244, 29524, 59048)),
+            (star(3), False, (7, 3000, 3050, 3051, 59048)),
+            (star(3), True, (100, 2321, 2322, 10934)))):
+        cp = str(tmp_path / f"scan{i}.ckpt")
+        scan_colorings(g, 5, 3, reduce_symmetry=reduce_symmetry,
+                       checkpoint=cp)
+        _, fp = read_checkpoint(cp)
+        for start in starts:
+            write_checkpoint(cp, start, fp)
+            res = scan_colorings(g, 5, 3, reduce_symmetry=reduce_symmetry,
+                                 checkpoint=cp)
+            _agrees(res, _reference_scan(g, 5, 3, reduce_symmetry, start), 5)
+
+
+def test_split_digit_scan_with_two_jobs(tmp_path):
+    # K_{1,3} over Z_2 (odd edge count) is avoidable only by its last
+    # coloring, so the reduced K_7 scan runs through all of its tasks
+    claw = star(3)
+    res = scan_colorings(claw, 7, 2, reduce_symmetry=True, jobs=2)
+    _agrees(res, _reference_scan(claw, 7, 2, True), 7)
+    res = scan_colorings(path(3), 5, 3, jobs=2)
+    _agrees(res, _reference_scan(path(3), 5, 3, False), 5)
+    cp = str(tmp_path / "scan.ckpt")
+    scan_colorings(matching(2), 7, 2, reduce_symmetry=True, checkpoint=cp)
+    _, fp = read_checkpoint(cp)
+    write_checkpoint(cp, 70001, fp)
+    res = scan_colorings(matching(2), 7, 2, reduce_symmetry=True, jobs=2,
+                         checkpoint=cp)
+    _agrees(res, _reference_scan(matching(2), 7, 2, True, 70001), 7)
+
+
 def test_subgraph_copy_counts():
     # distinct edge sets: 3 perfect matchings and 3 four-cycles in K_4,
     # 12 paths on 4 vertices
@@ -226,6 +321,66 @@ def test_checkpoint_malformed(tmp_path):
     cp.write_text("not a checkpoint\n")
     with pytest.raises(CheckpointMismatch):
         scan_colorings(path(4), 5, 3, checkpoint=str(cp))
+
+
+def _same_ramsey(a, b):
+    assert (a.value, a.limit) == (b.value, b.limit)
+    assert np.array_equal(a.witness_coloring.matrix, b.witness_coloring.matrix)
+
+
+def test_checkpoint_rerun_after_finished_run(tmp_path):
+    cp = str(tmp_path / "ramsey.ckpt")
+    for g, k, max_n in ((path(4), 3, 7), (star(3), 3, 8)):
+        plain = compute_ramsey(g, k, max_n)
+        first = compute_ramsey(g, k, max_n, checkpoint=cp)
+        again = compute_ramsey(g, k, max_n, checkpoint=cp)
+        _same_ramsey(first, plain)
+        _same_ramsey(again, plain)
+        assert first.colorings_checked == plain.colorings_checked
+        assert again.colorings_checked < plain.colorings_checked
+        # order by order against the same file, as compute_ramsey scans
+        for order in range(g.n, plain.value + 1):
+            res = scan_colorings(g, order, k, checkpoint=cp)
+            assert res.unavoidable == (order == plain.value)
+        (tmp_path / "ramsey.ckpt").unlink()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_checkpoint_resumes_run_interrupted_in_second_order(tmp_path,
+                                                           monkeypatch):
+    # K_{1,3} + K_2 over Z_2: every degree is odd, so the value is 7; order
+    # 6 has a witness and order 7 takes 2^21 colorings, many tasks
+    g = build_forest(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    plain = compute_ramsey(g, 2, 8)
+    assert plain.value == 7 == exact_z2(g)
+
+    cp = str(tmp_path / "ramsey.ckpt")
+    write = oracle._write_entries
+
+    def write_then_stop(path, entries):
+        write(path, entries)
+        if any(fp.endswith("-7") and 0 < counter < 2 ** 21
+               for fp, counter in entries.items()):
+            raise _Interrupted
+
+    monkeypatch.setattr(oracle, "_write_entries", write_then_stop)
+    with pytest.raises(_Interrupted):
+        compute_ramsey(g, 2, 8, checkpoint=cp)
+    monkeypatch.undo()
+    counter, fp = read_checkpoint(cp)
+    assert fp.endswith("-7") and 0 < counter < 2 ** 21
+
+    resumed = compute_ramsey(g, 2, 8, checkpoint=cp)
+    _same_ramsey(resumed, plain)
+    assert resumed.colorings_checked < plain.colorings_checked
+    # another modulus or reduction mode does not read this file
+    with pytest.raises(CheckpointMismatch):
+        scan_colorings(g, 7, 2, reduce_symmetry=True, checkpoint=cp)
+    with pytest.raises(CheckpointMismatch):
+        scan_colorings(matching(2), 7, 2, checkpoint=cp)
 
 
 # ---------------------------------------------------------------------------

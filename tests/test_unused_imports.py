@@ -1,6 +1,9 @@
-"""Static check: every name imported in src/ and tests/ is used.
+"""Static checks on src/ and tests/: every imported name is used, and no
+module defines the same top-level function or class name twice (the later
+definition silently replaces the earlier one, so a test defined twice runs
+once).
 
-No linter is a project dependency, so this is a small stdlib ``ast`` scan.
+No linter is a project dependency, so these are small stdlib ``ast`` scans.
 ``from __future__`` imports are skipped, and so are the package
 ``__init__.py`` files, whose imports are re-exports.
 """
@@ -45,6 +48,27 @@ def unused_imports(source: str) -> list[tuple[str, int]]:
                   if name not in used)
 
 
+def duplicate_definitions(source: str) -> list[tuple[str, int]]:
+    """(name, line) for each module-level def or class whose name an earlier
+    one in the same module already took."""
+    seen: set[str] = set()
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            if node.name in seen:
+                out.append((node.name, node.lineno))
+            seen.add(node.name)
+    return out
+
+
+def _modules(skip_init: bool):
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if not (skip_init and path.name == "__init__.py"):
+                yield path.relative_to(ROOT), path.read_text()
+
+
 def test_scanner_sees_each_import_form():
     source = (
         "from __future__ import annotations\n"
@@ -60,11 +84,26 @@ def test_scanner_sees_each_import_form():
 
 
 def test_no_unused_imports():
-    problems = []
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            if path.name == "__init__.py":
-                continue
-            for name, line in unused_imports(path.read_text()):
-                problems.append(f"{path.relative_to(ROOT)}:{line}: {name}")
+    problems = [f"{path}:{line}: {name}"
+                for path, source in _modules(skip_init=True)
+                for name, line in unused_imports(source)]
     assert not problems, "unused imports:\n" + "\n".join(problems)
+
+
+def test_duplicate_scanner_sees_defs_and_classes():
+    source = (
+        "def a():\n    def inner(): pass\n    def inner(): pass\n"
+        "class B: pass\n"
+        "async def c(): pass\n"
+        "def a(): pass\n"
+        "B = 1\n"
+        "class B: pass\n"
+        "def c(): pass\n")
+    assert duplicate_definitions(source) == [("a", 6), ("B", 8), ("c", 9)]
+
+
+def test_no_duplicate_definitions():
+    problems = [f"{path}:{line}: {name}"
+                for path, source in _modules(skip_init=False)
+                for name, line in duplicate_definitions(source)]
+    assert not problems, "defined twice:\n" + "\n".join(problems)
