@@ -3,9 +3,8 @@
 Every case returns a CaseReport whose embedding is zero-sum by construction
 and whose auxiliary certificate lets :func:`verify_report` recheck the whole
 argument from scratch. The dispatcher tries the cases in a fixed order
-(each one re-validates its own preconditions), skips the two bushy cases
-when the forest is not bushy, and optionally falls back to the exhaustive
-backtracker.
+(each one re-validates its own preconditions) and optionally falls back to
+the exhaustive backtracker.
 
 Case summary:
 
@@ -35,7 +34,7 @@ from .classify import (Classification, ColorfulWitness, NoDominantColor,
 from .core import (ColoredClique, DegreeTwoTriples, DivisibilityViolation,
                    Embedding, Forest, InsufficientTriples, LeafFamilies,
                    PreconditionFailed, Residue, ZeroSumError, edge_sum,
-                   is_bushy, require_prime, select_degree2_triples,
+                   require_prime, select_degree2_triples,
                    select_leaf_families)
 from .oracle import brute_zero_sum
 from .sumset import iterated_sumset, target_choice
@@ -454,8 +453,7 @@ def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
             f"one-coloredness")
     sub = k.matrix[np.ix_(remainder, remainder)]
     iu = np.triu_indices(len(remainder), 1)
-    # bincount, not np.unique: the latter imports numpy.ma, 0.7 MB resident
-    colors = np.flatnonzero(np.bincount(sub[iu], minlength=p))
+    colors = np.unique(sub[iu])
     if len(colors) != 1:
         if p != 2:
             log.error(
@@ -482,8 +480,8 @@ def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
 # dispatch
 # ---------------------------------------------------------------------------
 
-_BUSHY_CASES = (embed_bushy_vibrant, embed_bushy_nonvibrant)
-_NONBUSHY_CASES = (embed_nonbushy_switchable, embed_nonbushy_nonswitchable)
+_CASE_ORDER = (embed_bushy_vibrant, embed_bushy_nonvibrant,
+               embed_nonbushy_switchable, embed_nonbushy_nonswitchable)
 
 _RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
                 MonochromaticityViolated)
@@ -492,8 +490,7 @@ _RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
 def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
                        allow_fallback: bool = True) -> CaseReport:
     """Try the four constructive cases in fixed order; optionally fall back
-    to exhaustive search. A forest that is not bushy skips the two bushy
-    cases.
+    to exhaustive search.
 
     At guarantee scale (n >= 3p^2 - 12p + 11 and host order >= n + 9p - 12)
     one of the four cases succeeds and the fallback is never consulted.
@@ -511,10 +508,7 @@ def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
     if k.order < f.n:
         raise NoZeroSumCopy(
             f"host K_{k.order} cannot contain a forest on {f.n} vertices")
-    cases = _NONBUSHY_CASES
-    if is_bushy(f, p):
-        cases = _BUSHY_CASES + cases
-    for case in cases:
+    for case in _CASE_ORDER:
         try:
             return case(f, k, p)
         except _RECOVERABLE:

@@ -165,13 +165,6 @@ def _fingerprint(g: SimpleGraph, order: int, k: int,
     return f"{hashlib.sha256(text.encode()).hexdigest()[:16]}-{order}"
 
 
-def _single_order_fingerprint(g: SimpleGraph, order: int, k: int,
-                              reduce_symmetry: bool) -> str:
-    """The name earlier versions gave the one entry of their files."""
-    text = f"{order}|{k}|{int(reduce_symmetry)}|{g.n}|{g.sorted_edges()}"
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
-
-
 def _read_entries(path: str) -> dict[str, int]:
     """Checkpoint entries in file order: fingerprint -> next counter."""
     entries = {}
@@ -408,9 +401,6 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
     entries: dict[str, int] = {}
     if checkpoint is not None and os.path.exists(checkpoint):
         entries = _read_entries(checkpoint)
-        old = _single_order_fingerprint(g, order, k, enum.reduce)
-        if old in entries:
-            entries[fingerprint] = entries.pop(old)
         family = fingerprint.rsplit("-", 1)[0]
         if any(fp.rsplit("-", 1)[0] != family for fp in entries):
             raise CheckpointMismatch(

@@ -384,14 +384,10 @@ def test_guarantee_scale_large_primes(p, n, order, hosts, paths):
                 assert f.n == n
                 r = find_zero_sum_copy(f, k, p, allow_fallback=False)
                 assert verify_report(r)
-                if not r.bushy:
-                    assert r.case_used not in (CASE_BUSHY_VIBRANT,
-                                               CASE_BUSHY_NONVIBRANT)
                 cases.add(r.case_used)
     assert CASE_BUSHY_VIBRANT in cases and CASE_BUSHY_NONVIBRANT in cases
     if p == 7:
         assert CASE_NONBUSHY_SWITCHABLE in cases
-        assert CASE_NONBUSHY_NONSWITCHABLE in cases
 
 
 # --- verification ------------------------------------------------------------
