@@ -323,17 +323,6 @@ def test_checkpoint_malformed(tmp_path):
         scan_colorings(path(4), 5, 3, checkpoint=str(cp))
 
 
-def test_checkpoint_without_order_suffix_is_a_mismatch(tmp_path):
-    # a fingerprint without the -<order> suffix names no order: such a
-    # file is not resumed, at the first order or any later one
-    cp = tmp_path / "scan.ckpt"
-    cp.write_text("100 0123456789abcdef\n")
-    with pytest.raises(CheckpointMismatch):
-        scan_colorings(path(4), 5, 3, checkpoint=str(cp))
-    with pytest.raises(CheckpointMismatch):
-        compute_ramsey(path(4), 3, 6, checkpoint=str(cp))
-
-
 def _same_ramsey(a, b):
     assert (a.value, a.limit) == (b.value, b.limit)
     assert np.array_equal(a.witness_coloring.matrix, b.witness_coloring.matrix)
