@@ -2,9 +2,10 @@
 
 Every case returns a CaseReport whose embedding is zero-sum by construction
 and whose auxiliary certificate lets :func:`verify_report` recheck the whole
-argument from scratch. The dispatcher tries the cases in a fixed order
-(each one re-validates its own preconditions) and optionally falls back to
-the exhaustive backtracker.
+argument from scratch. The dispatcher classifies the pair (F, chi) once,
+tries the cases in a fixed order on that one classification, and optionally
+falls back to the exhaustive backtracker. Each public ``embed_*`` runs the
+same case on a classification of its own.
 
 Case summary:
 
@@ -205,15 +206,52 @@ def select_target_sets(k: ColoredClique, witnesses: Sequence[ColorfulWitness],
                       other_color=tuple(other))
 
 
-def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
-    """Anchor selected-leaf parents on colorful vertices and resolve each
-    selected leaf between its two reserved targets via the sumset walk.
+def _steer(f: Forest, k: ColoredClique, pinned: Mapping[int, int],
+           choices: Sequence[tuple[int, int, int]], source: str
+           ) -> tuple[Embedding, tuple[int, ...]]:
+    """Place f with the pinned vertices fixed and each open vertex v of a
+    choice (v, h0, h1) on h0 or h1, steering the edge sum to zero.
 
-    Requires a bushy forest, at least p-1 colorful vertices, and a host of
-    order at least n + p - 1.
+    Every other vertex takes, in ascending order, the lowest host that no pin
+    or choice uses. Open vertices must be pairwise non-adjacent, so all their
+    edges run to placed vertices; the sumset walk then picks one host per
+    open vertex. Returns the embedding and the picks (0 for h0, 1 for h1).
     """
-    _entry_checks(f, k, p, "embed_bushy_vibrant")
-    c = classify(f, k, p)
+    p = k.modulus
+    opened = {v for v, _, _ in choices}
+    reserved = set(pinned.values())
+    reserved.update(h for _, h0, h1 in choices for h in (h0, h1))
+    mapping = [-1] * f.n
+    for v, h in pinned.items():
+        mapping[v] = h
+    free = (h for h in range(k.order) if h not in reserved)
+    for v in range(f.n):
+        if v not in opened and v not in pinned:
+            mapping[v] = next(free)
+
+    s = sum(k.value(mapping[u], mapping[v]) for u, v in f.edges
+            if u not in opened and v not in opened)
+    options = [[Residue(sum(k.value(mapping[nb], h) for nb in f.neighbors(v))
+                        % p, p) for h in (h0, h1)]
+               for v, h0, h1 in choices]
+    picks = target_choice(iterated_sumset(options), Residue((-s) % p, p))
+    if picks is None:  # impossible: p-1 pairs of distinct residues cover Z_p
+        raise SelectionExhausted(f"zero target unreachable from {source}")
+    for (v, h0, h1), pick in zip(choices, picks):
+        mapping[v] = h0 if pick == 0 else h1
+    return Embedding(pattern=f, host=k, mapping=tuple(mapping)), picks
+
+
+def _require_one_colored_zero(f: Forest, color: int, p: int) -> None:
+    if (color * f.edge_count) % p != 0:
+        raise DivisibilityViolation(
+            f"one-colored copy in color {color} sums to "
+            f"{(color * f.edge_count) % p}, not 0")
+
+
+def _bushy_vibrant(f: Forest, k: ColoredClique, c: Classification
+                   ) -> CaseReport:
+    p = c.p
     if not c.bushy:
         raise PreconditionFailed(
             f"forest has {f.degree_count(1)} leaves, needs {2 * (p - 1)}")
@@ -225,50 +263,24 @@ def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
             f"{len(c.witnesses)} colorful vertices, vibrancy needs {p - 1}")
     fam = select_leaf_families(f, p)
     targets = select_target_sets(k, c.witnesses[:p - 1], fam)
-    m = len(fam.parents)
-
-    selected = {leaf for group in fam.selected for leaf in group}
-    reserved = set(targets.parent_hosts.values())
-    for xs, ys in zip(targets.same_color, targets.other_color):
-        reserved.update(xs)
-        reserved.update(ys)
-
-    mapping = [-1] * f.n
-    for parent in fam.parents:
-        mapping[parent] = targets.parent_hosts[parent]
-    free = (h for h in range(k.order) if h not in reserved)
-    for v in range(f.n):
-        if v in selected or v in targets.parent_hosts:
-            continue
-        mapping[v] = next(free)
-
-    s = 0
-    for u, v in f.edges:
-        if u in selected or v in selected:
-            continue
-        s += k.value(mapping[u], mapping[v])
-
-    pairs = []
-    slots = []
-    for i in range(m):
-        u = targets.parent_hosts[fam.parents[i]]
-        for j, leaf in enumerate(fam.selected[i]):
-            xh = targets.same_color[i][j]
-            yh = targets.other_color[i][j]
-            pairs.append([Residue(k.value(u, xh), p),
-                          Residue(k.value(u, yh), p)])
-            slots.append((leaf, xh, yh))
-    w = iterated_sumset(pairs)
-    picks = target_choice(w, Residue((-s) % p, p))
-    if picks is None:  # impossible: p-1 two-element sets cover Z_p
-        raise SelectionExhausted("zero target unreachable from leaf pairs")
-    for (leaf, xh, yh), pick in zip(slots, picks):
-        mapping[leaf] = xh if pick == 0 else yh
-
-    emb = Embedding(pattern=f, host=k, mapping=tuple(mapping))
-    cert = BushyVibrantCert(witnesses=c.witnesses[:m], families=fam,
-                            targets=targets, picks=tuple(picks))
+    choices = [slot for leaves, xs, ys in zip(fam.selected, targets.same_color,
+                                              targets.other_color)
+               for slot in zip(leaves, xs, ys)]
+    emb, picks = _steer(f, k, targets.parent_hosts, choices, "leaf pairs")
+    cert = BushyVibrantCert(witnesses=c.witnesses[:len(fam.parents)],
+                            families=fam, targets=targets, picks=picks)
     return _report(c, CASE_BUSHY_VIBRANT, emb, cert)
+
+
+def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
+    """Anchor selected-leaf parents on colorful vertices and resolve each
+    selected leaf between its two reserved targets via the sumset walk.
+
+    Requires a bushy forest, at least p-1 colorful vertices, and a host of
+    order at least n + p - 1.
+    """
+    _entry_checks(f, k, p, "embed_bushy_vibrant")
+    return _bushy_vibrant(f, k, classify(f, k, p))
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +322,9 @@ def _monochromatic_greedy(f: Forest, k: ColoredClique, hosts: Sequence[int],
     return mapping
 
 
-def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
-    """One-colored copy inside the largest dominant class.
-
-    Attempted whenever the class can hold the forest at all; guaranteed only
-    when it exceeds the forest order by the tolerance 3p-4, so a greedy jam
-    surfaces as GreedyStuck and sends the dispatcher onward.
-    """
-    _entry_checks(f, k, p, "embed_bushy_nonvibrant")
-    c = classify(f, k, p)
+def _bushy_nonvibrant(f: Forest, k: ColoredClique, c: Classification
+                      ) -> CaseReport:
+    p = c.p
     if c.vibrant:
         raise PreconditionFailed(
             f"coloring is vibrant for p={p}; this case needs the opposite")
@@ -338,10 +344,7 @@ def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
             f"largest dominant class has {len(class_hosts)} vertices, "
             f"forest needs {f.n}")
     color = part.largest.value
-    if (color * f.edge_count) % p != 0:
-        raise DivisibilityViolation(
-            f"one-colored copy in color {color} sums to "
-            f"{(color * f.edge_count) % p}, not 0")
+    _require_one_colored_zero(f, color, p)
     mapping = _monochromatic_greedy(f, k, class_hosts, color)
     emb = Embedding(pattern=f, host=k, mapping=tuple(mapping))
     cert = MonochromaticCert(color=part.largest,
@@ -350,21 +353,24 @@ def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
     return _report(c, CASE_BUSHY_NONVIBRANT, emb, cert)
 
 
+def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
+    """One-colored copy inside the largest dominant class.
+
+    Attempted whenever the class can hold the forest at all; guaranteed only
+    when it exceeds the forest order by the tolerance 3p-4, so a greedy jam
+    surfaces as GreedyStuck and sends the dispatcher onward.
+    """
+    _entry_checks(f, k, p, "embed_bushy_nonvibrant")
+    return _bushy_nonvibrant(f, k, classify(f, k, p))
+
+
 # ---------------------------------------------------------------------------
 # switchable: degree-2 triples across switcher four-cycles
 # ---------------------------------------------------------------------------
 
-def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
-                              ) -> CaseReport:
-    """Pin p-1 degree-2 triples across disjoint switchers; each center picks
-    between two diagonal placements whose edge sums differ, and the sumset
-    walk steers the total to zero.
-
-    Requires p-1 disjoint degree-2 triples in the forest, p-1 disjoint
-    switchers in the coloring, and host order at least n + p - 1.
-    """
-    _entry_checks(f, k, p, "embed_nonbushy_switchable")
-    c = classify(f, k, p)
+def _nonbushy_switchable(f: Forest, k: ColoredClique, c: Classification
+                         ) -> CaseReport:
+    p = c.p
     if k.order < f.n + (p - 1):
         raise PreconditionFailed(
             f"host order {k.order} below {f.n + p - 1}")
@@ -376,68 +382,40 @@ def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
     if not c.switchable:
         raise PreconditionFailed(
             f"only {len(quads)} disjoint switchers, need {p - 1}")
-
-    centers = [t for t, _ in triples.triples]
+    # each center sits on d1 or d3 between its ends pinned on d2 and d4; the
+    # switcher property makes the two placements' edge sums differ
     pinned: dict[int, int] = {}
+    choices = []
     for (t, (a, b)), quad in zip(triples.triples, quads):
         d1, d2, d3, d4 = quad.vertices
         pinned[a] = d2
         pinned[b] = d4
-
-    quad_verts = {v for q in quads for v in q.vertices}
-    mapping = [-1] * f.n
-    for v, h in pinned.items():
-        mapping[v] = h
-    free = (h for h in range(k.order) if h not in quad_verts)
-    center_set = set(centers)
-    for v in range(f.n):
-        if v in center_set or v in pinned:
-            continue
-        mapping[v] = next(free)
-
-    s = 0
-    for u, v in f.edges:
-        if u in center_set or v in center_set:
-            continue
-        s += k.value(mapping[u], mapping[v])
-
-    options = []
-    for quad in quads:
-        d1, d2, d3, d4 = quad.vertices
-        via_d1 = (k.value(d4, d1) + k.value(d1, d2)) % p
-        via_d3 = (k.value(d2, d3) + k.value(d3, d4)) % p
-        options.append([Residue(via_d1, p), Residue(via_d3, p)])
-    w = iterated_sumset(options)
-    picks = target_choice(w, Residue((-s) % p, p))
-    if picks is None:  # impossible: switcher property makes each pair distinct
-        raise SelectionExhausted("zero target unreachable from switchers")
-    for center, quad, pick in zip(centers, quads, picks):
-        d1, _, d3, _ = quad.vertices
-        mapping[center] = d1 if pick == 0 else d3
-
-    emb = Embedding(pattern=f, host=k, mapping=tuple(mapping))
-    cert = SwitcherCert(triples=triples, quads=tuple(quads),
-                        picks=tuple(picks))
+        choices.append((t, d1, d3))
+    emb, picks = _steer(f, k, pinned, choices, "switchers")
+    cert = SwitcherCert(triples=triples, quads=tuple(quads), picks=picks)
     return _report(c, CASE_NONBUSHY_SWITCHABLE, emb, cert)
+
+
+def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
+                              ) -> CaseReport:
+    """Pin p-1 degree-2 triples across disjoint switchers; each center picks
+    between two diagonal placements whose edge sums differ, and the sumset
+    walk steers the total to zero.
+
+    Requires p-1 disjoint degree-2 triples in the forest, p-1 disjoint
+    switchers in the coloring, and host order at least n + p - 1.
+    """
+    _entry_checks(f, k, p, "embed_nonbushy_switchable")
+    return _nonbushy_switchable(f, k, classify(f, k, p))
 
 
 # ---------------------------------------------------------------------------
 # non-switchable: strip short packings, use the one-colored remainder
 # ---------------------------------------------------------------------------
 
-def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
-                                 ) -> CaseReport:
-    """Remove a maximal switcher packing of size at most p-2; for odd p the
-    remaining clique is then necessarily one-colored and any placement in
-    it works.
-
-    The one-coloredness is scanned, not assumed. For odd p a violation
-    would contradict the maximality certificate and is logged as such; for
-    p = 2 switcher-free cut colorings exist and the scan simply rejects
-    them back to the dispatcher.
-    """
-    _entry_checks(f, k, p, "embed_nonbushy_nonswitchable")
-    c = classify(f, k, p)
+def _nonbushy_nonswitchable(f: Forest, k: ColoredClique, c: Classification
+                            ) -> CaseReport:
+    p = c.p
     quads = c.switchers
     if c.switchable:
         raise PreconditionFailed(
@@ -464,10 +442,7 @@ def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
         raise MonochromaticityViolated(
             f"switcher-free remainder carries {len(colors)} colors")
     color = int(colors[0])
-    if (color * f.edge_count) % p != 0:
-        raise DivisibilityViolation(
-            f"one-colored copy in color {color} sums to "
-            f"{(color * f.edge_count) % p}, not 0")
+    _require_one_colored_zero(f, color, p)
     mapping = tuple(remainder[:f.n])
     emb = Embedding(pattern=f, host=k, mapping=mapping)
     cert = MonoSubcliqueCert(removed_quads=tuple(quads),
@@ -476,12 +451,27 @@ def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
     return _report(c, CASE_NONBUSHY_NONSWITCHABLE, emb, cert)
 
 
+def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
+                                 ) -> CaseReport:
+    """Remove a maximal switcher packing of size at most p-2; for odd p the
+    remaining clique is then necessarily one-colored and any placement in
+    it works.
+
+    The one-coloredness is scanned, not assumed. For odd p a violation
+    would contradict the maximality certificate and is logged as such; for
+    p = 2 switcher-free cut colorings exist and the scan simply rejects
+    them back to the dispatcher.
+    """
+    _entry_checks(f, k, p, "embed_nonbushy_nonswitchable")
+    return _nonbushy_nonswitchable(f, k, classify(f, k, p))
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_CASE_ORDER = (embed_bushy_vibrant, embed_bushy_nonvibrant,
-               embed_nonbushy_switchable, embed_nonbushy_nonswitchable)
+_CASE_ORDER = (_bushy_vibrant, _bushy_nonvibrant, _nonbushy_switchable,
+               _nonbushy_nonswitchable)
 
 _RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
                 MonochromaticityViolated)
@@ -489,8 +479,8 @@ _RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
 
 def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
                        allow_fallback: bool = True) -> CaseReport:
-    """Try the four constructive cases in fixed order; optionally fall back
-    to exhaustive search.
+    """Classify once, then try the four constructive cases in fixed order on
+    that classification; optionally fall back to exhaustive search.
 
     At guarantee scale (n >= 3p^2 - 12p + 11 and host order >= n + 9p - 12)
     one of the four cases succeeds and the fallback is never consulted.
@@ -508,15 +498,15 @@ def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
     if k.order < f.n:
         raise NoZeroSumCopy(
             f"host K_{k.order} cannot contain a forest on {f.n} vertices")
+    c = classify(f, k, p)
     for case in _CASE_ORDER:
         try:
-            return case(f, k, p)
+            return case(f, k, c)
         except _RECOVERABLE:
             continue
     if allow_fallback:
         emb = brute_zero_sum(f, k, p)
         if emb is not None:
-            c = classify(f, k, p)
             return _report(c, CASE_FALLBACK, emb, None)
         raise NoZeroSumCopy("exhaustive search found no zero-sum copy")
     raise NoZeroSumCopy(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .core import Forest, SimpleGraph, build_forest, build_graph
 
 
@@ -61,9 +59,3 @@ def cycle(n: int) -> SimpleGraph:
         raise ValueError("cycle needs at least 3 vertices")
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
-
-def complete(n: int) -> SimpleGraph:
-    """K_n (for the exhaustive oracle only)."""
-    if n < 2:
-        raise ValueError("complete graph needs at least 2 vertices")
-    return build_graph(n, list(combinations(range(n), 2)))

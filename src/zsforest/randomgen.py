@@ -20,6 +20,7 @@ from .core import ColoredClique, Forest, build_forest, is_bushy
 SCHEME = "splitmix64-mod"
 
 _MASK = (1 << 64) - 1
+_BUSHY_ATTEMPTS = 1000
 
 
 def splitmix64(seed: int) -> Iterator[int]:
@@ -103,13 +104,12 @@ def random_forest(n: int, components: int, seed: int) -> Forest:
     return build_forest(n, edges)
 
 
-def random_bushy_tree(n: int, p: int, seed: int,
-                      max_attempts: int = 1000) -> Forest:
+def random_bushy_tree(n: int, p: int, seed: int) -> Forest:
     """Random tree with at least 2(p-1) leaves, by seeded rejection."""
     stream = splitmix64(seed)
-    for _ in range(max_attempts):
+    for _ in range(_BUSHY_ATTEMPTS):
         f = build_forest(n, _tree_edges(n, stream))
         if is_bushy(f, p):
             return f
     raise ValueError(
-        f"no bushy tree on {n} vertices for p={p} in {max_attempts} draws")
+        f"no bushy tree on {n} vertices for p={p} in {_BUSHY_ATTEMPTS} draws")

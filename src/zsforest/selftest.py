@@ -25,7 +25,7 @@ Criteria and their sources of truth:
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -465,10 +465,10 @@ def _components_for(n: int, p: int) -> int:
     return {0: 3, 1: 1, 2: 2}[n % 3]
 
 
-def criterion_9() -> tuple[bool, str]:
-    problems = []
-    checked = vice_versa = 0
-    for i in range(2_000):
+def _finder_vs_oracle_instances(
+        count: int) -> Iterator[tuple[Forest, ColoredClique, int]]:
+    """Criterion 9's seeded draws: (forest, host, p) for i in range(count)."""
+    for i in range(count):
         stream = splitmix64(90_000 + i)
         if i % 10 < 3:
             # p = 2 at host order >= n + 9p - 12, where absence of a copy
@@ -482,7 +482,13 @@ def criterion_9() -> tuple[bool, str]:
             n = 5 + next(stream) % 4
             order = n + (next(stream) % 3 if n < 8 else 0)
         f = random_forest(n, _components_for(n, p), seed=91_000 + i)
-        k = random_coloring(order, p, seed=92_000_000 + i)
+        yield f, random_coloring(order, p, seed=92_000_000 + i), p
+
+
+def criterion_9() -> tuple[bool, str]:
+    problems = []
+    checked = vice_versa = 0
+    for i, (f, k, p) in enumerate(_finder_vs_oracle_instances(2_000)):
         checked += 1
         try:
             rep = find_zero_sum_copy(f, k, p)
@@ -496,7 +502,7 @@ def criterion_9() -> tuple[bool, str]:
                 problems.append(f"instance {i}: finder yes, oracle no")
         if hit is not None and edge_sum(hit).value != 0:
             problems.append(f"instance {i}: oracle sum {edge_sum(hit).value}")
-        if order >= f.n + 9 * p - 12:
+        if k.order >= f.n + 9 * p - 12:
             vice_versa += 1
             if hit is not None and rep is None:
                 problems.append(f"instance {i}: oracle yes, finder no")

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zsforest import (DivisibilityViolation, PreconditionFailed, Residue,
-                      brute_zero_sum, dominant_partition, edge_sum,
-                      find_zero_sum_copy, is_bushy,
+                      brute_zero_sum, build_forest, dominant_partition,
+                      edge_sum, embedder, find_zero_sum_copy, is_bushy,
                       maximal_disjoint_switchers, select_leaf_families,
                       star_lower_bound_coloring, verify_report,
                       vibrant_vertices)
@@ -25,7 +25,7 @@ from zsforest.embedder import (CASE_BUSHY_NONVIBRANT, CASE_BUSHY_VIBRANT,
                                embed_nonbushy_switchable, select_target_sets)
 from zsforest.patterns import forest_of_paths, matching, path, spider, star
 from zsforest.randomgen import random_coloring, random_forest, random_tree
-from zsforest.selftest import _near_mono_clique
+from zsforest.selftest import _finder_vs_oracle_instances, _near_mono_clique
 
 
 def mono_clique(order, p, color=0):
@@ -388,6 +388,81 @@ def test_guarantee_scale_large_primes(p, n, order, hosts, paths):
     assert CASE_BUSHY_VIBRANT in cases and CASE_BUSHY_NONVIBRANT in cases
     if p == 7:
         assert CASE_NONBUSHY_SWITCHABLE in cases
+
+
+DISPATCH_CASES = {
+    CASE_BUSHY_VIBRANT: (star(6), random_coloring(9, 3, 1), 3),
+    CASE_BUSHY_NONVIBRANT: (path(7), mono_clique(12, 3), 3),
+    CASE_NONBUSHY_SWITCHABLE: (path(7), random_coloring(22, 3, 30_000), 3),
+    # two colorful vertices make the coloring vibrant, and every switcher
+    # meets the one packed quad, so only the last case fits the 3-star
+    CASE_NONBUSHY_NONSWITCHABLE: (
+        build_forest(4, [(0, 1), (1, 2), (1, 3)]),
+        clique_with(10, 3, {(0, 4): 2, (1, 2): 1, (1, 3): 2, (1, 5): 1,
+                            (1, 6): 2, (2, 3): 2, (2, 4): 2, (2, 5): 1}),
+        3),
+    CASE_FALLBACK: (star(3), clique_with(4, 3, {(0, 1): 1, (0, 2): 1,
+                                                (0, 3): 1, (1, 2): 2}), 3),
+}
+
+
+@pytest.mark.parametrize("case", list(DISPATCH_CASES))
+def test_dispatch_classifies_once(monkeypatch, case):
+    calls = []
+
+    def counted(fn):
+        def inner(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return inner
+
+    for name in ("classify", "_entry_checks"):
+        monkeypatch.setattr(embedder, name, counted(getattr(embedder, name)))
+    r = find_zero_sum_copy(*DISPATCH_CASES[case])
+    assert r.case_used == case
+    assert sorted(calls) == ["_entry_checks", "classify"]
+
+
+PUBLIC_ORDER = (embed_bushy_vibrant, embed_bushy_nonvibrant,
+                embed_nonbushy_switchable, embed_nonbushy_nonswitchable)
+RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
+               MonochromaticityViolated)
+
+
+def test_dispatch_equals_first_public_engine():
+    """The dispatcher's report is the first public engine's, in the
+    documented order, that does not raise a recoverable error."""
+    instances = list(_finder_vs_oracle_instances(400))
+    for seed in range(3):
+        for k in (random_coloring(59, 5, seed),
+                  _near_mono_clique(59, 5, seed)):
+            instances += [(random_tree(26, seed=1), k, 5), (path(26), k, 5)]
+    cases = set()
+    for f, k, p in instances:
+        want = None
+        for engine in PUBLIC_ORDER:
+            try:
+                want = engine(f, k, p)
+                break
+            except RECOVERABLE:
+                continue
+        if want is None:
+            with pytest.raises(NoZeroSumCopy):
+                find_zero_sum_copy(f, k, p, allow_fallback=False)
+            continue
+        got = find_zero_sum_copy(f, k, p, allow_fallback=False)
+        assert (got.case_used, got.embedding.mapping, got.bushy, got.vibrant,
+                got.switchable, got.auxiliary) == (
+            want.case_used, want.embedding.mapping, want.bushy, want.vibrant,
+            want.switchable, want.auxiliary)
+        if p == 2:
+            assert got.case_used not in (CASE_NONBUSHY_SWITCHABLE,
+                                         CASE_NONBUSHY_NONSWITCHABLE)
+        cases.add((p, got.case_used))
+    assert cases == {(2, CASE_BUSHY_VIBRANT), (3, CASE_BUSHY_VIBRANT),
+                     (3, CASE_NONBUSHY_SWITCHABLE), (5, CASE_BUSHY_VIBRANT),
+                     (5, CASE_BUSHY_NONVIBRANT),
+                     (5, CASE_NONBUSHY_SWITCHABLE)}
 
 
 # --- verification ------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Static checks on src/ and tests/: every imported name is used, and no
-module defines the same top-level function or class name twice (the later
+"""Static checks on src/ and tests/: every imported name is used, no module
+defines the same top-level function or class name twice (the later
 definition silently replaces the earlier one, so a test defined twice runs
-once).
+once), and every top-level name of a package module is referenced somewhere
+in src/, tests/, bench/ or demos/.
 
 No linter is a project dependency, so these are small stdlib ``ast`` scans.
 ``from __future__`` imports are skipped, and so are the package
@@ -62,8 +63,37 @@ def duplicate_definitions(source: str) -> list[tuple[str, int]]:
     return out
 
 
-def _modules(skip_init: bool):
-    for top in SCANNED:
+def top_level_names(source: str) -> list[tuple[str, int]]:
+    """(name, line) for each module-level def, class or assigned name."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            out.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            out += [(n.id, node.lineno) for t in targets
+                    for n in ast.walk(t) if isinstance(n, ast.Name)
+                    and isinstance(n.ctx, ast.Store)]
+    return out
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names read, attributes taken and names imported anywhere in a module."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def _modules(skip_init: bool, tops=SCANNED):
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             if not (skip_init and path.name == "__init__.py"):
                 yield path.relative_to(ROOT), path.read_text()
@@ -107,3 +137,31 @@ def test_no_duplicate_definitions():
                 for path, source in _modules(skip_init=False)
                 for name, line in duplicate_definitions(source)]
     assert not problems, "defined twice:\n" + "\n".join(problems)
+
+
+def test_reference_scanner_sees_each_form():
+    defined = (
+        "import os\n"
+        "A, (B, C) = 1, (2, 3)\n"
+        "D: int = 4\n"
+        "E = 5\n"
+        "E[0] = os.sep\n"
+        "def f(): pass\n"
+        "class G: pass\n"
+        "if os: H = 6\n")
+    assert top_level_names(defined) == [
+        ("A", 2), ("B", 2), ("C", 2), ("D", 3), ("E", 4), ("f", 6),
+        ("G", 7)]
+    user = "from m import A\nimport m\nprint(m.B, C)\nD = 1\nE += 1\n"
+    assert referenced_names(user) == {"A", "B", "C", "m", "print"}
+
+
+def test_every_package_name_is_referenced():
+    used = set()
+    for _, source in _modules(False, ("src", "tests", "bench", "demos")):
+        used |= referenced_names(source)
+    problems = [f"{path}:{line}: {name}"
+                for path, source in _modules(True, ("src/zsforest",))
+                for name, line in top_level_names(source)
+                if name not in used]
+    assert not problems, "never referenced:\n" + "\n".join(problems)
