@@ -2,10 +2,9 @@
 
 Every case returns a CaseReport whose embedding is zero-sum by construction
 and whose auxiliary certificate lets :func:`verify_report` recheck the whole
-argument from scratch. The dispatcher classifies the pair (F, chi) once,
-tries the cases in a fixed order on that one classification, and optionally
-falls back to the exhaustive backtracker. Each public ``embed_*`` runs the
-same case on a classification of its own.
+argument from scratch. The dispatcher tries the cases in a fixed order
+(each one re-validates its own preconditions) and optionally falls back to
+the exhaustive backtracker.
 
 Case summary:
 
@@ -249,9 +248,15 @@ def _require_one_colored_zero(f: Forest, color: int, p: int) -> None:
             f"{(color * f.edge_count) % p}, not 0")
 
 
-def _bushy_vibrant(f: Forest, k: ColoredClique, c: Classification
-                   ) -> CaseReport:
-    p = c.p
+def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
+    """Anchor selected-leaf parents on colorful vertices and resolve each
+    selected leaf between its two reserved targets via the sumset walk.
+
+    Requires a bushy forest, at least p-1 colorful vertices, and a host of
+    order at least n + p - 1.
+    """
+    _entry_checks(f, k, p, "embed_bushy_vibrant")
+    c = classify(f, k, p)
     if not c.bushy:
         raise PreconditionFailed(
             f"forest has {f.degree_count(1)} leaves, needs {2 * (p - 1)}")
@@ -270,17 +275,6 @@ def _bushy_vibrant(f: Forest, k: ColoredClique, c: Classification
     cert = BushyVibrantCert(witnesses=c.witnesses[:len(fam.parents)],
                             families=fam, targets=targets, picks=picks)
     return _report(c, CASE_BUSHY_VIBRANT, emb, cert)
-
-
-def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
-    """Anchor selected-leaf parents on colorful vertices and resolve each
-    selected leaf between its two reserved targets via the sumset walk.
-
-    Requires a bushy forest, at least p-1 colorful vertices, and a host of
-    order at least n + p - 1.
-    """
-    _entry_checks(f, k, p, "embed_bushy_vibrant")
-    return _bushy_vibrant(f, k, classify(f, k, p))
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +316,15 @@ def _monochromatic_greedy(f: Forest, k: ColoredClique, hosts: Sequence[int],
     return mapping
 
 
-def _bushy_nonvibrant(f: Forest, k: ColoredClique, c: Classification
-                      ) -> CaseReport:
-    p = c.p
+def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
+    """One-colored copy inside the largest dominant class.
+
+    Attempted whenever the class can hold the forest at all; guaranteed only
+    when it exceeds the forest order by the tolerance 3p-4, so a greedy jam
+    surfaces as GreedyStuck and sends the dispatcher onward.
+    """
+    _entry_checks(f, k, p, "embed_bushy_nonvibrant")
+    c = classify(f, k, p)
     if c.vibrant:
         raise PreconditionFailed(
             f"coloring is vibrant for p={p}; this case needs the opposite")
@@ -353,24 +353,21 @@ def _bushy_nonvibrant(f: Forest, k: ColoredClique, c: Classification
     return _report(c, CASE_BUSHY_NONVIBRANT, emb, cert)
 
 
-def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
-    """One-colored copy inside the largest dominant class.
-
-    Attempted whenever the class can hold the forest at all; guaranteed only
-    when it exceeds the forest order by the tolerance 3p-4, so a greedy jam
-    surfaces as GreedyStuck and sends the dispatcher onward.
-    """
-    _entry_checks(f, k, p, "embed_bushy_nonvibrant")
-    return _bushy_nonvibrant(f, k, classify(f, k, p))
-
-
 # ---------------------------------------------------------------------------
 # switchable: degree-2 triples across switcher four-cycles
 # ---------------------------------------------------------------------------
 
-def _nonbushy_switchable(f: Forest, k: ColoredClique, c: Classification
-                         ) -> CaseReport:
-    p = c.p
+def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
+                              ) -> CaseReport:
+    """Pin p-1 degree-2 triples across disjoint switchers; each center picks
+    between two diagonal placements whose edge sums differ, and the sumset
+    walk steers the total to zero.
+
+    Requires p-1 disjoint degree-2 triples in the forest, p-1 disjoint
+    switchers in the coloring, and host order at least n + p - 1.
+    """
+    _entry_checks(f, k, p, "embed_nonbushy_switchable")
+    c = classify(f, k, p)
     if k.order < f.n + (p - 1):
         raise PreconditionFailed(
             f"host order {k.order} below {f.n + p - 1}")
@@ -396,26 +393,23 @@ def _nonbushy_switchable(f: Forest, k: ColoredClique, c: Classification
     return _report(c, CASE_NONBUSHY_SWITCHABLE, emb, cert)
 
 
-def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
-                              ) -> CaseReport:
-    """Pin p-1 degree-2 triples across disjoint switchers; each center picks
-    between two diagonal placements whose edge sums differ, and the sumset
-    walk steers the total to zero.
-
-    Requires p-1 disjoint degree-2 triples in the forest, p-1 disjoint
-    switchers in the coloring, and host order at least n + p - 1.
-    """
-    _entry_checks(f, k, p, "embed_nonbushy_switchable")
-    return _nonbushy_switchable(f, k, classify(f, k, p))
-
-
 # ---------------------------------------------------------------------------
 # non-switchable: strip short packings, use the one-colored remainder
 # ---------------------------------------------------------------------------
 
-def _nonbushy_nonswitchable(f: Forest, k: ColoredClique, c: Classification
-                            ) -> CaseReport:
-    p = c.p
+def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
+                                 ) -> CaseReport:
+    """Remove a maximal switcher packing of size at most p-2; for odd p the
+    remaining clique is then necessarily one-colored and any placement in
+    it works.
+
+    The one-coloredness is scanned, not assumed. For odd p a violation
+    would contradict the maximality certificate and is logged as such; for
+    p = 2 switcher-free cut colorings exist and the scan simply rejects
+    them back to the dispatcher.
+    """
+    _entry_checks(f, k, p, "embed_nonbushy_nonswitchable")
+    c = classify(f, k, p)
     quads = c.switchers
     if c.switchable:
         raise PreconditionFailed(
@@ -451,27 +445,12 @@ def _nonbushy_nonswitchable(f: Forest, k: ColoredClique, c: Classification
     return _report(c, CASE_NONBUSHY_NONSWITCHABLE, emb, cert)
 
 
-def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
-                                 ) -> CaseReport:
-    """Remove a maximal switcher packing of size at most p-2; for odd p the
-    remaining clique is then necessarily one-colored and any placement in
-    it works.
-
-    The one-coloredness is scanned, not assumed. For odd p a violation
-    would contradict the maximality certificate and is logged as such; for
-    p = 2 switcher-free cut colorings exist and the scan simply rejects
-    them back to the dispatcher.
-    """
-    _entry_checks(f, k, p, "embed_nonbushy_nonswitchable")
-    return _nonbushy_nonswitchable(f, k, classify(f, k, p))
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_CASE_ORDER = (_bushy_vibrant, _bushy_nonvibrant, _nonbushy_switchable,
-               _nonbushy_nonswitchable)
+_CASE_ORDER = (embed_bushy_vibrant, embed_bushy_nonvibrant,
+               embed_nonbushy_switchable, embed_nonbushy_nonswitchable)
 
 _RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
                 MonochromaticityViolated)
@@ -479,8 +458,8 @@ _RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
 
 def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
                        allow_fallback: bool = True) -> CaseReport:
-    """Classify once, then try the four constructive cases in fixed order on
-    that classification; optionally fall back to exhaustive search.
+    """Try the four constructive cases in fixed order; optionally fall back
+    to exhaustive search.
 
     At guarantee scale (n >= 3p^2 - 12p + 11 and host order >= n + 9p - 12)
     one of the four cases succeeds and the fallback is never consulted.
@@ -498,15 +477,15 @@ def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
     if k.order < f.n:
         raise NoZeroSumCopy(
             f"host K_{k.order} cannot contain a forest on {f.n} vertices")
-    c = classify(f, k, p)
     for case in _CASE_ORDER:
         try:
-            return case(f, k, c)
+            return case(f, k, p)
         except _RECOVERABLE:
             continue
     if allow_fallback:
         emb = brute_zero_sum(f, k, p)
         if emb is not None:
+            c = classify(f, k, p)
             return _report(c, CASE_FALLBACK, emb, None)
         raise NoZeroSumCopy("exhaustive search found no zero-sum copy")
     raise NoZeroSumCopy(

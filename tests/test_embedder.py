@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from zsforest import (DivisibilityViolation, PreconditionFailed, Residue,
-                      brute_zero_sum, build_forest, dominant_partition,
-                      edge_sum, embedder, find_zero_sum_copy, is_bushy,
+                      brute_zero_sum, dominant_partition, edge_sum,
+                      find_zero_sum_copy, is_bushy,
                       maximal_disjoint_switchers, select_leaf_families,
                       star_lower_bound_coloring, verify_report,
                       vibrant_vertices)
@@ -388,39 +388,6 @@ def test_guarantee_scale_large_primes(p, n, order, hosts, paths):
     assert CASE_BUSHY_VIBRANT in cases and CASE_BUSHY_NONVIBRANT in cases
     if p == 7:
         assert CASE_NONBUSHY_SWITCHABLE in cases
-
-
-DISPATCH_CASES = {
-    CASE_BUSHY_VIBRANT: (star(6), random_coloring(9, 3, 1), 3),
-    CASE_BUSHY_NONVIBRANT: (path(7), mono_clique(12, 3), 3),
-    CASE_NONBUSHY_SWITCHABLE: (path(7), random_coloring(22, 3, 30_000), 3),
-    # two colorful vertices make the coloring vibrant, and every switcher
-    # meets the one packed quad, so only the last case fits the 3-star
-    CASE_NONBUSHY_NONSWITCHABLE: (
-        build_forest(4, [(0, 1), (1, 2), (1, 3)]),
-        clique_with(10, 3, {(0, 4): 2, (1, 2): 1, (1, 3): 2, (1, 5): 1,
-                            (1, 6): 2, (2, 3): 2, (2, 4): 2, (2, 5): 1}),
-        3),
-    CASE_FALLBACK: (star(3), clique_with(4, 3, {(0, 1): 1, (0, 2): 1,
-                                                (0, 3): 1, (1, 2): 2}), 3),
-}
-
-
-@pytest.mark.parametrize("case", list(DISPATCH_CASES))
-def test_dispatch_classifies_once(monkeypatch, case):
-    calls = []
-
-    def counted(fn):
-        def inner(*args):
-            calls.append(fn.__name__)
-            return fn(*args)
-        return inner
-
-    for name in ("classify", "_entry_checks"):
-        monkeypatch.setattr(embedder, name, counted(getattr(embedder, name)))
-    r = find_zero_sum_copy(*DISPATCH_CASES[case])
-    assert r.case_used == case
-    assert sorted(calls) == ["_entry_checks", "classify"]
 
 
 PUBLIC_ORDER = (embed_bushy_vibrant, embed_bushy_nonvibrant,
