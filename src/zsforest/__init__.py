@@ -20,28 +20,26 @@ from .embedder import (CaseReport, GreedyStuck, MonochromaticityViolated,
                        embed_nonbushy_nonswitchable,
                        embed_nonbushy_switchable, find_zero_sum_copy,
                        select_target_sets, verify_report)
-from .extremal import (CirculantSpec, ParityViolation, regular_circulant,
-                       star_lower_bound_coloring)
+from .extremal import star_lower_bound_coloring
 from .fileio import (FileFormatError, clique_from_text, clique_to_text,
                      forest_from_text, forest_to_text, graph_from_text,
                      report_from_text, report_to_text)
 from .oracle import (BudgetExceeded, CheckpointMismatch, RamseyResult,
-                     brute_zero_sum, compute_ramsey, exact_z2, exact_z3,
-                     unavoidable)
+                     brute_zero_sum, compute_ramsey, exact_z2, exact_z3)
 from .sumset import (EmptyInputSet, MixedModulus, SumsetWitness,
                      iterated_sumset, replay, target_choice)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceeded", "CaseReport", "CheckpointMismatch", "CirculantSpec",
+    "BudgetExceeded", "CaseReport", "CheckpointMismatch",
     "ColoredClique", "ColorfulWitness", "CyclicInput", "DegreeTwoTriples",
     "DivisibilityViolation", "DominantPartition", "DuplicateEdge", "Embedding",
     "EmptyInputSet", "FileFormatError", "Forest", "GreedyStuck",
     "IndexOutOfRange",
     "InsufficientTriples", "LeafFamilies", "MixedModulus",
     "MonochromaticityViolated", "NoDominantColor", "NotBushy", "NoZeroSumCopy",
-    "ParityViolation", "PreconditionFailed", "RamseyResult", "Residue",
+    "PreconditionFailed", "RamseyResult", "Residue",
     "SelectionExhausted", "SimpleGraph", "SumsetWitness", "SwitcherQuad",
     "TargetSets", "ZeroSumError", "brute_zero_sum", "build_forest",
     "build_graph", "colorful_witness", "compute_ramsey",
@@ -51,9 +49,9 @@ __all__ = [
     "embed_nonbushy_switchable", "exact_z2", "exact_z3", "find_zero_sum_copy",
     "forest_from_text", "forest_to_text", "graph_from_text",
     "is_bushy", "is_prime", "is_switcher", "iterated_sumset",
-    "maximal_disjoint_switchers", "regular_circulant", "replay",
+    "maximal_disjoint_switchers", "replay",
     "report_from_text", "report_to_text",
     "select_degree2_triples", "select_leaf_families", "select_target_sets",
-    "star_lower_bound_coloring", "target_choice", "unavoidable",
+    "star_lower_bound_coloring", "target_choice",
     "verify_report", "vibrant_vertices",
 ]

@@ -50,12 +50,11 @@ class SwitcherQuad:
 class DominantPartition:
     """Vertex classes by unique dominant color on a sub-clique.
 
-    slack is the tolerance 3p-4: a vertex belongs to G_r when at least
-    order - slack of its incident edges have color r. largest is the color
-    of a maximum class, lowest color winning ties.
+    A vertex belongs to G_r when at least order - (3p-4) of its incident
+    edges have color r. largest is the color of a maximum class, lowest
+    color winning ties.
     """
 
-    slack: int
     classes: Mapping[Residue, tuple[int, ...]]
     largest: Residue
 
@@ -235,8 +234,7 @@ def dominant_partition(k_prime: ColoredClique, p: int) -> DominantPartition:
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    slack = 3 * p - 4
-    threshold = k_prime.order - slack
+    threshold = k_prime.order - (3 * p - 4)
     classes: dict[Residue, list[int]] = {}
     for v in range(k_prime.order):
         counts = _color_counts(k_prime, v)
@@ -250,6 +248,5 @@ def dominant_partition(k_prime: ColoredClique, p: int) -> DominantPartition:
                            []).append(v)
     largest = min(classes, key=lambda r: (-len(classes[r]), r.value))
     return DominantPartition(
-        slack=slack,
         classes={r: tuple(vs) for r, vs in classes.items()},
         largest=largest)

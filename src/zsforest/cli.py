@@ -12,8 +12,8 @@ Commands:
 Exit codes: 0 success or copy found; 1 well-formed negative outcome (no
 copy, value not reached within --max-n, verification mismatch, selftest
 failure); 2 malformed input, an unreadable or unwritable file (such as a
-checkpoint) or an ill-posed question (modulus does not divide the edge
-count); 3 enumeration budget exceeded.
+checkpoint), an ill-posed question (modulus does not divide the edge count)
+or a size that cannot be allocated; 3 enumeration budget exceeded.
 
 Reports are `key = value` lines in a fixed order behind the magic first
 line; runs with identical inputs produce byte-identical reports except for
@@ -199,8 +199,6 @@ def cmd_ramsey(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_extremal(args) -> int:
-    if args.shape != "star":
-        raise _InputProblem(f"unknown extremal family {args.shape!r}")
     k = star_lower_bound_coloring(args.n, args.p)
     sys.stdout.write(f"# star-free: no zero-sum copy of K_1,{args.n - 1}\n")
     sys.stdout.write(clique_to_text(k))
@@ -221,6 +219,11 @@ def cmd_random(args) -> int:
 def cmd_selftest(args) -> int:
     from . import selftest
 
+    unknown = set(args.only or ()) - {idx for idx, _, _ in selftest.CRITERIA}
+    if unknown:
+        raise _InputProblem(
+            f"no criterion {', '.join(map(str, sorted(unknown)))}; "
+            f"criteria are 1-{len(selftest.CRITERIA)}")
     ok = True
     for idx, name, fn in selftest.CRITERIA:
         if args.only and idx not in args.only:
@@ -299,7 +302,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ZeroSumError, _InputProblem, OSError, ValueError) as err:
+    except (ZeroSumError, _InputProblem, OSError, ValueError,
+            MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -71,7 +71,7 @@ def require_prime(p: int, context: str) -> None:
 
 @dataclass(frozen=True)
 class Residue:
-    """An element of Z_m with exact modular arithmetic.
+    """A reduced element of Z_m; :meth:`sum` adds residues of one modulus.
 
     The constructive machinery only ever uses prime moduli (and checks that at
     its entry points); the type itself allows any modulus >= 2 so that the
@@ -86,26 +86,6 @@ class Residue:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"value {self.value} not reduced mod {self.modulus}")
-
-    def _check(self, other: "Residue") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError(
-                f"mixed moduli {self.modulus} and {other.modulus}")
-
-    def __add__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value + other.value) % self.modulus, self.modulus)
-
-    def __sub__(self, other: "Residue") -> "Residue":
-        self._check(other)
-        return Residue((self.value - other.value) % self.modulus, self.modulus)
-
-    def __neg__(self) -> "Residue":
-        return Residue((-self.value) % self.modulus, self.modulus)
-
-    @staticmethod
-    def zero(modulus: int) -> "Residue":
-        return Residue(0, modulus)
 
     @staticmethod
     def sum(items: Iterable["Residue"], modulus: int) -> "Residue":
@@ -281,12 +261,18 @@ def build_forest(n: int, edges: Iterable[tuple[int, int]]) -> Forest:
     return _strip_isolated(Forest, n, seen)
 
 
+# the largest modulus whose colors all fit the int16 matrix
+_MAX_MODULUS = 2 ** 15
+
+
 class ColoredClique:
     """A complete graph K_N with a total edge coloring by residues mod m.
 
-    Stored as its own read-only copy of a symmetric int16 matrix (the diagonal
-    is unused). The modulus may be composite; operations that require a prime
-    check it themselves.
+    Stored as its own read-only copy of a symmetric int16 matrix whose
+    entries, the unused diagonal included, lie in [0, modulus); the
+    constructor rejects any other matrix, so readers may take either
+    orientation of an edge. The modulus may be composite; operations that
+    require a prime check it themselves.
     """
 
     __slots__ = ("order", "modulus", "matrix")
@@ -294,11 +280,17 @@ class ColoredClique:
     def __init__(self, order: int, modulus: int, matrix: np.ndarray):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        m = np.array(matrix, dtype=np.int16)
-        if m.shape != (order, order):
+        if not 2 <= modulus <= _MAX_MODULUS:
+            raise ValueError(
+                f"modulus must be in [2, {_MAX_MODULUS}], got {modulus}")
+        raw = np.asarray(matrix)
+        if raw.shape != (order, order):
             raise ValueError("color matrix shape mismatch")
+        if not np.array_equal(raw, raw.T):
+            raise ValueError("color matrix must be symmetric")
+        if raw.min() < 0 or raw.max() >= modulus:
+            raise ValueError(f"colors must lie in [0,{modulus})")
+        m = raw.astype(np.int16)
         m.flags.writeable = False
         self.order = order
         self.modulus = modulus
@@ -306,14 +298,19 @@ class ColoredClique:
 
     @classmethod
     def from_pairs(cls, order: int, modulus: int,
-                   colors: Mapping[tuple[int, int], int | Residue]
-                   ) -> "ColoredClique":
+                   colors: Mapping[tuple[int, int], int]) -> "ColoredClique":
         """Build from a total map over unordered vertex pairs.
 
         Every pair {u,v} with u != v must appear exactly once (either order).
+        The count is checked before the matrix is allocated.
         """
         want = order * (order - 1) // 2
-        m = np.zeros((order, order), dtype=np.int16)
+        if len(colors) < want:
+            raise ValueError(
+                f"coloring not total: {len(colors)} of {want} pairs given")
+        # int64, so that the constructor range-checks a color that int16
+        # cannot hold before it casts
+        m = np.zeros((order, order), dtype=np.int64)
         seen = set()
         for (u, v), c in colors.items():
             if not (0 <= u < order and 0 <= v < order) or u == v:
@@ -322,37 +319,13 @@ class ColoredClique:
             if e in seen:
                 raise DuplicateEdge(f"pair {e} colored twice")
             seen.add(e)
-            val = c.value if isinstance(c, Residue) else int(c)
-            if isinstance(c, Residue) and c.modulus != modulus:
-                raise ValueError(
-                    f"residue modulus {c.modulus} != clique modulus {modulus}")
-            if not 0 <= val < modulus:
-                raise ValueError(f"color {val} not in [0,{modulus})")
-            m[e[0], e[1]] = val
-            m[e[1], e[0]] = val
-        if len(seen) != want:
-            raise ValueError(
-                f"coloring not total: {len(seen)} of {want} pairs given")
+            m[u, v] = m[v, u] = c
         return cls(order, modulus, m)
-
-    @classmethod
-    def from_matrix(cls, modulus: int, matrix: np.ndarray) -> "ColoredClique":
-        m = np.asarray(matrix, dtype=np.int16)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        if not np.array_equal(m, m.T):
-            raise ValueError("color matrix must be symmetric")
-        if m.size and (m.min() < 0 or m.max() >= modulus):
-            raise ValueError(f"colors must lie in [0,{modulus})")
-        return cls(m.shape[0], modulus, m)
 
     def value(self, u: int, v: int) -> int:
         if u == v:
             raise IndexOutOfRange(f"no edge from {u} to itself")
         return int(self.matrix[u, v])
-
-    def color(self, u: int, v: int) -> Residue:
-        return Residue(self.value(u, v), self.modulus)
 
     def induced(self, vertices: Sequence[int]
                 ) -> tuple["ColoredClique", tuple[int, ...]]:

@@ -3,75 +3,22 @@
 A clique colored so that every vertex has exactly p-1 incident edges of
 color 1 (the rest 0) contains no zero-sum star K_{1,n-1} when n >= p: any
 center uses all but p-2 of its edges, so the sum lands in [1, p-1] and never
-hits zero. The color-1 graph is realized as a circulant, the canonical
-deterministic (p-1)-regular graph.
+hits zero. The color-1 graph is the circulant on vertices 0..N-1 in which u
+and v are adjacent when u - v is one of +-1, ..., +-(p-1)/2 mod N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (ColoredClique, PreconditionFailed, ZeroSumError,
-                   require_prime)
-
-
-class ParityViolation(ZeroSumError):
-    """No d-regular graph on N vertices exists when d*N is odd."""
-
-
-@dataclass(frozen=True)
-class CirculantSpec:
-    """Vertices 0..order-1; u ~ v iff (u-v) mod order is an offset.
-
-    Offsets are nonzero residues closed under negation, so the graph is
-    |offsets|-regular (order/2, its own negation, contributes degree one).
-    """
-
-    order: int
-    offsets: frozenset
-
-    def edges(self) -> list[tuple[int, int]]:
-        out = []
-        for u in range(self.order):
-            for d in self.offsets:
-                v = (u + d) % self.order
-                if u < v:
-                    out.append((u, v))
-        return sorted(out)
-
-    def degree(self) -> int:
-        return len(self.offsets)
-
-
-def regular_circulant(N: int, d: int) -> CirculantSpec:
-    """The standard d-regular circulant on N vertices.
-
-    Even d uses offsets +-1..+-d/2; odd d (even N only) adds the antipodal
-    offset N/2.
-
-    Raises:
-        ParityViolation: d*N is odd, so no d-regular graph exists.
-    """
-    if not 0 <= d < N:
-        raise ValueError(f"degree {d} not in [0, {N})")
-    if d % 2 == 1 and N % 2 == 1:
-        raise ParityViolation(f"no {d}-regular graph on {N} vertices")
-    offsets = set()
-    for step in range(1, d // 2 + 1):
-        offsets.add(step)
-        offsets.add(N - step)
-    if d % 2 == 1:
-        offsets.add(N // 2)
-    return CirculantSpec(order=N, offsets=frozenset(offsets))
+from .core import ColoredClique, PreconditionFailed, require_prime
 
 
 def star_lower_bound_coloring(n: int, p: int) -> ColoredClique:
     """Z_p coloring of K_{n+p-2} with no zero-sum copy of the star K_{1,n-1}.
 
-    Every vertex gets exactly p-1 incident edges of color 1 (a circulant)
-    and color 0 elsewhere.
+    Every vertex gets exactly p-1 incident edges of color 1 (the circulant
+    of the module docstring) and color 0 elsewhere.
 
     Raises:
         PreconditionFailed: p not an odd prime, or n < p.
@@ -86,9 +33,10 @@ def star_lower_bound_coloring(n: int, p: int) -> ColoredClique:
             f"star order n={n} must be at least p={p} for the pigeonhole "
             f"argument")
     N = n + p - 2
-    spec = regular_circulant(N, p - 1)
     m = np.zeros((N, N), dtype=np.int16)
-    for u, v in spec.edges():
-        m[u, v] = 1
-        m[v, u] = 1
+    u = np.arange(N)
+    # N >= 2p - 2, so the p - 1 offsets are distinct mod N
+    for step in range(1, (p - 1) // 2 + 1):
+        v = (u + step) % N
+        m[u, v] = m[v, u] = 1
     return ColoredClique(N, p, m)

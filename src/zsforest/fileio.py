@@ -61,6 +61,10 @@ def _graph_from_text(text: str, build):
     behind :func:`forest_from_text` and :func:`graph_from_text`)."""
     lines = _logical_lines(text)
     n, m = _parse_edge_header(lines, "forest")
+    if n > 2 * m:
+        raise FileFormatError(
+            f"header declares {n} vertices, but {m} edges touch at most "
+            f"{2 * m}; every vertex must carry an edge")
     edges = []
     for no, line in lines:
         u, v = _ints(no, line, 2, "an edge")
@@ -98,18 +102,7 @@ def forest_to_text(f) -> str:
 
 def clique_from_text(text: str) -> ColoredClique:
     lines = _logical_lines(text)
-    try:
-        no, first = next(lines)
-    except StopIteration:
-        raise FileFormatError("empty file, expected a clique header")
-    parts = first.split()
-    if len(parts) != 3 or parts[0] != "clique":
-        raise FileFormatError(
-            f"line {no}: expected header 'clique <N> <p>', got {first!r}")
-    try:
-        order, p = int(parts[1]), int(parts[2])
-    except ValueError:
-        raise FileFormatError(f"line {no}: non-integer header counts")
+    order, p = _parse_edge_header(lines, "clique")
     pairs = {}
     for no, line in lines:
         u, v, c = _ints(no, line, 3, "a colored edge")
@@ -122,7 +115,7 @@ def clique_from_text(text: str) -> ColoredClique:
         pairs[key] = c
     try:
         return ColoredClique.from_pairs(order, p, pairs)
-    except (ZeroSumError, ValueError) as err:
+    except (ZeroSumError, ValueError, OverflowError) as err:
         raise FileFormatError(str(err)) from err
 
 
@@ -187,8 +180,3 @@ def read_text(path: str) -> str:
             return fh.read()
     except OSError as err:
         raise FileFormatError(f"cannot read {path}: {err}") from err
-
-
-def write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

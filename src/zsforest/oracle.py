@@ -5,7 +5,7 @@ constructive embedder so they can serve as its oracle:
 
 * :func:`brute_zero_sum` searches one colored clique for a zero-sum copy of a
   pattern by injective backtracking in lowest-index order.
-* :func:`unavoidable` enumerates every coloring of K_N over Z_k (optionally
+* :func:`scan_colorings` enumerates every coloring of K_N over Z_k (optionally
   with a sound vertex-0 symmetry reduction) and reports whether each one
   contains a zero-sum copy; :func:`compute_ramsey` scans orders upward and
   asserts the defining property directly, never assuming monotonicity.
@@ -448,15 +448,6 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
         return ScanResult(True, None, None, checked, enum.total)
     return ScanResult(False, witness_counter, enum.coloring_at(witness_counter),
                       checked, enum.total)
-
-
-def unavoidable(g: SimpleGraph, order: int, k: int,
-                budget: int = DEFAULT_BUDGET, *,
-                reduce_symmetry: bool = False, jobs: int = 1,
-                checkpoint: Optional[str] = None) -> bool:
-    """True iff every Z_k edge coloring of K_order has a zero-sum copy of g."""
-    return scan_colorings(g, order, k, budget, reduce_symmetry=reduce_symmetry,
-                          jobs=jobs, checkpoint=checkpoint).unavoidable
 
 
 @dataclass(frozen=True)

@@ -39,19 +39,11 @@ from .embedder import (CASE_BUSHY_VIBRANT, CASE_FALLBACK,
                        embed_nonbushy_switchable, find_zero_sum_copy,
                        verify_report)
 from .extremal import star_lower_bound_coloring
-from .oracle import (RamseyResult, brute_zero_sum, compute_ramsey, exact_z3)
+from .oracle import brute_zero_sum, compute_ramsey, exact_z3
 from .patterns import cycle, matching, path, spider, star
 from .randomgen import (random_bushy_tree, random_coloring, random_forest,
                         random_tree, splitmix64)
 from .sumset import iterated_sumset
-
-_RAMSEY_CACHE: dict[str, RamseyResult] = {}
-
-
-def _ramsey_once(key: str, g, k: int, max_n: int) -> RamseyResult:
-    if key not in _RAMSEY_CACHE:
-        _RAMSEY_CACHE[key] = compute_ramsey(g, k, max_n)
-    return _RAMSEY_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -60,16 +52,16 @@ def _ramsey_once(key: str, g, k: int, max_n: int) -> RamseyResult:
 
 def criterion_1() -> tuple[bool, str]:
     """Exact Z_2 values: the 4-cycle needs order 4, two disjoint edges 5."""
-    r_c4 = _ramsey_once("c4-z2", cycle(4), 2, 6).value
-    r_2k2 = _ramsey_once("2k2-z2", matching(2), 2, 7).value
+    r_c4 = compute_ramsey(cycle(4), 2, 6).value
+    r_2k2 = compute_ramsey(matching(2), 2, 7).value
     ok = r_c4 == 4 and r_2k2 == 5
     return ok, f"R(C4,Z2)={r_c4} (want 4), R(2K2,Z2)={r_2k2} (want 5)"
 
 
 def criterion_2() -> tuple[bool, str]:
     """Exact Z_3 values for P_4 and the 3-star, matching the closed form."""
-    r_p4 = _ramsey_once("p4-z3", path(4), 3, 7).value
-    r_star = _ramsey_once("star3-z3", star(3), 3, 8).value
+    r_p4 = compute_ramsey(path(4), 3, 7).value
+    r_star = compute_ramsey(star(3), 3, 8).value
     e_p4, e_star = exact_z3(path(4)), exact_z3(star(3))
     ok = r_p4 == 5 == e_p4 and r_star == 6 == e_star
     return ok, (f"R(P4,Z3)={r_p4} closed-form {e_p4} (want 5), "
@@ -444,7 +436,7 @@ def criterion_8() -> tuple[bool, str]:
         hit = brute_zero_sum(star(n - 1), k)
         if hit is not None:
             problems.append(f"(p={p}, n={n}): zero-sum star at {hit.mapping}")
-    r_star = _ramsey_once("star3-z3", star(3), 3, 8).value
+    r_star = compute_ramsey(star(3), 3, 8).value
     if r_star != 6:
         problems.append(f"R(K13,Z3) = {r_star}, want 6 = 4 + 3 - 1")
     ok = not problems

@@ -263,7 +263,6 @@ def test_greedy_respects_limit_and_disjointness():
 
 def test_dominant_partition_monochromatic():
     part = dominant_partition(mono(6, 2), 2)
-    assert part.slack == 2
     assert part.largest == Residue(0, 2)
     assert part.classes == {Residue(0, 2): tuple(range(6))}
 

@@ -106,13 +106,10 @@ def test_handshake_on_random_forests():
 def test_residue_arithmetic():
     a = Residue(3, 5)
     b = Residue(4, 5)
-    assert (a + b).value == 2
-    assert (a - b).value == 4
-    assert (-a).value == 2
-    assert Residue.zero(5).value == 0
     assert Residue.sum([a, b, b], 5).value == 1
+    assert Residue.sum([], 5) == Residue(0, 5)
     with pytest.raises(ValueError):
-        a + Residue(1, 7)
+        Residue.sum([a, Residue(1, 7)], 5)
     with pytest.raises(ValueError):
         Residue(5, 5)
     with pytest.raises(ValueError):
@@ -128,9 +125,13 @@ def test_clique_from_pairs_must_be_total():
     full = {(0, 1): 1, (0, 2): 0, (1, 2): 2}
     c = ColoredClique.from_pairs(3, 3, full)
     assert c.value(1, 0) == 1
-    assert c.color(2, 1).value == 2
+    assert c.value(2, 1) == 2
     with pytest.raises(ValueError):
         ColoredClique.from_pairs(3, 3, {(0, 1): 1})
+    # the count is checked before the matrix is allocated: an int64 matrix
+    # for K_{10^7} would need 728 TiB
+    with pytest.raises(ValueError, match="not total"):
+        ColoredClique.from_pairs(10_000_000, 3, {(0, 1): 1})
     with pytest.raises(DuplicateEdge):
         ColoredClique.from_pairs(3, 3, {**full, (2, 1): 0})
     with pytest.raises(ValueError):
@@ -139,24 +140,43 @@ def test_clique_from_pairs_must_be_total():
         ColoredClique.from_pairs(3, 3, {(0, 0): 1, (0, 2): 0, (1, 2): 0})
 
 
-def test_clique_from_matrix_validation():
+def test_clique_rejects_bad_matrices():
     m = np.zeros((3, 3), dtype=np.int16)
     m[0, 1] = 1  # asymmetric
-    with pytest.raises(ValueError):
-        ColoredClique.from_matrix(2, m)
+    with pytest.raises(ValueError, match="symmetric"):
+        ColoredClique(3, 2, m)
     m[1, 0] = 1
-    c = ColoredClique.from_matrix(2, m)
-    assert c.order == 3
+    c = ColoredClique(3, 2, m)
+    assert c.order == 3 and c.value(1, 0) == 1
     with pytest.raises(IndexOutOfRange):
         c.value(1, 1)
+    for bad in (2, -1):  # a color >= modulus, a negative color
+        for u, v in ((0, 2), (1, 1)):  # an edge, the unused diagonal
+            m2 = m.copy()
+            m2[u, v] = m2[v, u] = bad
+            with pytest.raises(ValueError, match="colors must lie"):
+                ColoredClique(3, 2, m2)
+    with pytest.raises(ValueError, match="shape"):
+        ColoredClique(4, 2, m)
+    # a color that int16 cannot hold is range-checked before the cast, and
+    # no modulus admits one
+    big = np.zeros((3, 3), dtype=np.int64)
+    big[0, 1] = big[1, 0] = 2 ** 15
+    with pytest.raises(ValueError, match="colors must lie"):
+        ColoredClique(3, 2, big)
+    top = np.full((3, 3), 2 ** 15 - 1)
+    np.fill_diagonal(top, 0)
+    assert ColoredClique(3, 2 ** 15, top).value(0, 1) == 2 ** 15 - 1
+    with pytest.raises(ValueError, match="modulus must be in"):
+        ColoredClique(3, 2 ** 15 + 1, big)
 
 
 def test_clique_colors_are_read_only():
     src = np.zeros((4, 4), dtype=np.int16)
-    own = [ColoredClique(4, 2, src), ColoredClique.from_matrix(2, src)]
+    own = ColoredClique(4, 2, src)
     src[0, 1] = src[1, 0] = 1  # edits to the caller's array do not leak in
-    assert [k.value(0, 1) for k in own] == [0, 0]
-    for k in own + [random_coloring(6, 3, seed=5).induced([1, 2, 4])[0]]:
+    assert own.value(0, 1) == 0
+    for k in (own, random_coloring(6, 3, seed=5).induced([1, 2, 4])[0]):
         with pytest.raises(ValueError):
             k.matrix[0, 1] = 1
 

@@ -31,14 +31,14 @@ from zsforest.selftest import _finder_vs_oracle_instances, _near_mono_clique
 def mono_clique(order, p, color=0):
     m = np.full((order, order), color, dtype=np.int64)
     np.fill_diagonal(m, 0)
-    return ColoredClique.from_matrix(p, m)
+    return ColoredClique(order, p, m)
 
 
 def clique_with(order, p, recolored):
     m = np.zeros((order, order), dtype=np.int64)
     for (u, v), c in recolored.items():
         m[u, v] = m[v, u] = c
-    return ColoredClique.from_matrix(p, m)
+    return ColoredClique(order, p, m)
 
 
 # --- hand-traced fixtures ---------------------------------------------------
@@ -474,7 +474,7 @@ def test_verify_rejects_recolored_target():
     x = r.auxiliary.targets.same_color[0][0]
     m = np.array(k.matrix)
     m[u, x] = m[x, u] = (m[u, x] + 1) % 2
-    k_bad = ColoredClique.from_matrix(2, m)
+    k_bad = ColoredClique(k.order, 2, m)
     bad_emb = dataclasses.replace(r.embedding, host=k_bad)
     assert not verify_report(corrupt(r, embedding=bad_emb))
 

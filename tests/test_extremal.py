@@ -1,49 +1,38 @@
-"""Lower-bound construction tests: circulant regularity and the star
-colorings that the exhaustive oracle confirms copy-free."""
+"""Lower-bound construction tests: the circulant inside the star colorings,
+and the exhaustive oracle confirming those colorings copy-free."""
 
 import numpy as np
 import pytest
 
 from zsforest import PreconditionFailed, brute_zero_sum
-from zsforest.extremal import (CirculantSpec, ParityViolation,
-                               regular_circulant, star_lower_bound_coloring)
+from zsforest.extremal import star_lower_bound_coloring
 from zsforest.patterns import star
 
 
-def degrees_of(spec: CirculantSpec) -> list[int]:
-    deg = [0] * spec.order
-    for u, v in spec.edges():
-        deg[u] += 1
-        deg[v] += 1
-    return deg
+def ones_edges(k) -> list[tuple[int, int]]:
+    return [(u, v) for u in range(k.order) for v in range(u + 1, k.order)
+            if k.value(u, v) == 1]
 
 
 def test_circulant_cycle():
-    spec = regular_circulant(5, 2)
-    assert spec.offsets == {1, 4}
-    assert spec.edges() == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
-    assert degrees_of(spec) == [2] * 5
-
-
-def test_circulant_odd_degree_uses_antipode():
-    spec = regular_circulant(6, 3)
-    assert spec.offsets == {1, 5, 3}
-    assert degrees_of(spec) == [3] * 6
-
-
-def test_circulant_parity_violation():
-    with pytest.raises(ParityViolation):
-        regular_circulant(5, 3)
-    with pytest.raises(ValueError):
-        regular_circulant(5, 5)
+    # p = 3, n = 4: the color-1 graph of K_5 is the 5-cycle
+    k = star_lower_bound_coloring(4, 3)
+    assert ones_edges(k) == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
 
 
 def test_circulant_regularity_sweep():
-    for N in range(3, 15):
-        for d in range(0, N):
-            if d % 2 == 1 and N % 2 == 1:
-                continue
-            assert degrees_of(regular_circulant(N, d)) == [d] * N
+    # the color-1 graph is exactly the circulant with offsets
+    # +-1..+-(p-1)/2, so every vertex has p - 1 edges of color 1
+    for p in (3, 5, 7, 11, 13):
+        for n in range(p, p + 40):
+            k = star_lower_bound_coloring(n, p)
+            N = n + p - 2
+            offsets = {s % N for s in range(-(p - 1) // 2, (p + 1) // 2)
+                       if s}
+            want = [(u, v) for u in range(N) for v in range(u + 1, N)
+                    if (v - u) % N in offsets]
+            assert ones_edges(k) == want
+            assert list((k.matrix == 1).sum(axis=1)) == [p - 1] * N
 
 
 def test_star_coloring_shape_and_regularity():

@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from zsforest import fileio
 from zsforest.cli import main
 from zsforest.fileio import (FileFormatError, clique_from_text,
                              clique_to_text, embedding_from_text,
                              embedding_to_text, forest_from_text,
                              forest_to_text, graph_from_text,
-                             report_from_text, report_to_text, write_text)
+                             report_from_text, report_to_text)
 from zsforest.patterns import matching, path, spider, star
 from zsforest.randomgen import random_coloring, random_forest
 
@@ -58,6 +59,19 @@ def test_forest_rejects(text):
             graph_from_text(text)
 
 
+def test_forest_header_with_too_many_vertices(monkeypatch):
+    # m edges touch at most 2m vertices, so the header alone is malformed
+    # and is rejected before a builder allocates per-vertex state
+    def never(n, edges):
+        raise AssertionError(f"build called with n={n}")
+
+    monkeypatch.setattr(fileio, "build_forest", never)
+    monkeypatch.setattr(fileio, "build_graph", never)
+    for parse in (forest_from_text, graph_from_text):
+        with pytest.raises(FileFormatError, match="at most 2"):
+            parse("forest 1000000000 1\n0 1\n")
+
+
 def test_graph_allows_cycles():
     g = graph_from_text("forest 4 4\n0 1\n0 3\n1 2\n2 3\n")
     assert g.n == 4 and g.edge_count == 4
@@ -88,6 +102,10 @@ def test_clique_pairs_any_order():
     "clique 3 2\n0 1 1\n0 2 0\n",            # missing pair
     "clique 3 2\n0 1 1\n1 0 0\n1 2 0\n",     # duplicate pair
     "clique 3 2\n0 1 2\n0 2 0\n1 2 0\n",     # color out of range
+    "clique 3 2\n0 1 70000\n0 2 0\n1 2 0\n",  # ... and beyond int16
+    "clique 3 2\n0 1 0\n0 2 -1\n1 2 0\n",    # negative color
+    "clique 3 2\n0 1 1\n0 2 0\n1 2 99999999999999999999\n",  # beyond int64
+    "clique 3 40000\n0 1 39999\n0 2 0\n1 2 0\n",  # modulus beyond int16
     "clique 3 2\n0 1 1\n0 3 0\n1 2 0\n",     # vertex out of range
     "clique 3 2\n0 0 1\n0 2 0\n1 2 0\n",     # loop
 ])
@@ -123,11 +141,11 @@ def test_embedding_round_trip():
 
 @pytest.fixture
 def files(tmp_path):
-    write_text(str(tmp_path / "p7.forest"), forest_to_text(path(7)))
-    write_text(str(tmp_path / "star3.forest"), forest_to_text(star(3)))
-    write_text(str(tmp_path / "c4.forest"), "forest 4 4\n0 1\n0 3\n1 2\n2 3\n")
-    write_text(str(tmp_path / "k22.clique"),
-               clique_to_text(random_coloring(22, 3, 7)))
+    (tmp_path / "p7.forest").write_text(forest_to_text(path(7)))
+    (tmp_path / "star3.forest").write_text(forest_to_text(star(3)))
+    (tmp_path / "c4.forest").write_text("forest 4 4\n0 1\n0 3\n1 2\n2 3\n")
+    (tmp_path / "k22.clique").write_text(
+        clique_to_text(random_coloring(22, 3, 7)))
     return tmp_path
 
 
@@ -163,7 +181,7 @@ def test_cli_ramsey_example(files, capsys):
 
 
 def test_cli_ramsey_reduce_symmetry(files, capsys):
-    write_text(str(files / "p4.forest"), forest_to_text(path(4)))
+    (files / "p4.forest").write_text(forest_to_text(path(4)))
     for graph, k, value in (("c4.forest", "2", "4"), ("p4.forest", "3", "5")):
         argv = ("ramsey", "--graph", str(files / graph), "--k", k,
                 "--max-n", "6")
@@ -193,7 +211,7 @@ def test_cli_ramsey_checkpoint_io_errors(files, capsys):
 def test_cli_find_on_extremal_coloring(files, capsys):
     code, out, _ = run(capsys, "extremal", "star", "--n", "4", "--p", "3")
     assert code == 0
-    write_text(str(files / "ex.clique"), out)
+    (files / "ex.clique").write_text(out)
     code, out, _ = run(capsys, "find",
                        "--forest", str(files / "star3.forest"),
                        "--clique", str(files / "ex.clique"), "--no-fallback")
@@ -218,7 +236,7 @@ def test_cli_verify_round_trip(files, capsys):
                        "--forest", str(files / "p7.forest"),
                        "--clique", str(files / "k22.clique"))
     assert code == 0
-    write_text(str(files / "ok.report"), rep)
+    (files / "ok.report").write_text(rep)
     code, out, _ = run(capsys, "verify", "--report", str(files / "ok.report"),
                        "--forest", str(files / "p7.forest"),
                        "--clique", str(files / "k22.clique"))
@@ -231,7 +249,7 @@ def test_cli_verify_round_trip(files, capsys):
     mapping[0] = mapping[0].split(":")[0] + ":" + mapping[1].split(":")[1]
     broken = [(key, ",".join(mapping) if key == "embedding" else value)
               for key, value in fields]
-    write_text(str(files / "bad.report"), report_to_text(broken))
+    (files / "bad.report").write_text(report_to_text(broken))
     code, out, _ = run(capsys, "verify", "--report", str(files / "bad.report"),
                        "--forest", str(files / "p7.forest"),
                        "--clique", str(files / "k22.clique"))
@@ -245,14 +263,27 @@ def test_cli_input_errors(files, capsys):
     assert code == 2 and "error:" in err
 
     # 3 does not divide e(P_3) = 2: ill-posed question
-    write_text(str(files / "p3.forest"), forest_to_text(path(3)))
+    (files / "p3.forest").write_text(forest_to_text(path(3)))
     code, _, err = run(capsys, "find", "--forest", str(files / "p3.forest"),
                        "--clique", str(files / "k22.clique"))
     assert code == 2 and "divide" in err
 
 
+def test_cli_sizes_that_cannot_be_allocated(files, capsys):
+    # K_{10^7} as an int16 matrix needs 182 TiB, more than a process can
+    # address, so these fail at once without touching memory
+    (files / "huge.clique").write_text("clique 10000000 3\n")
+    for argv in (("random", "--n", "10000000", "--p", "3", "--seed", "1"),
+                 ("extremal", "star", "--n", "10000000", "--p", "3"),
+                 ("classify", "--forest", str(files / "p7.forest"),
+                  "--clique", str(files / "huge.clique"))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and "Traceback" not in err, argv
+
+
 def test_cli_ramsey_limits(files, capsys):
-    write_text(str(files / "m2.forest"), forest_to_text(matching(2)))
+    (files / "m2.forest").write_text(forest_to_text(matching(2)))
     code, out, _ = run(capsys, "ramsey", "--graph", str(files / "m2.forest"),
                        "--k", "2", "--max-n", "4")
     assert code == 1
@@ -300,6 +331,12 @@ def test_cli_selftest_single(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.count("criterion 1") == 1 and "[pass]" in out
+
+
+def test_cli_selftest_unknown_criterion(capsys):
+    code, out, err = run(capsys, "selftest", "--only", "1", "--only", "99")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no criterion 99")
 
 
 def test_cli_module_entry_point(files):

@@ -9,7 +9,7 @@ import pytest
 from zsforest import (BudgetExceeded, CheckpointMismatch, ColoredClique,
                       DivisibilityViolation, brute_zero_sum, build_forest,
                       build_graph, compute_ramsey, edge_sum, exact_z2,
-                      exact_z3, unavoidable)
+                      exact_z3)
 from zsforest import oracle
 from zsforest.oracle import (_Enumeration, _subgraph_copies, read_checkpoint,
                              scan_colorings, write_checkpoint)
@@ -65,10 +65,10 @@ def test_ramsey_claw_z3():
 
 
 def test_unavoidable_thresholds():
-    assert not unavoidable(matching(2), 4, 2)
-    assert unavoidable(matching(2), 5, 2)
-    assert not unavoidable(path(4), 4, 3)
-    assert unavoidable(path(4), 5, 3)
+    assert not scan_colorings(matching(2), 4, 2).unavoidable
+    assert scan_colorings(matching(2), 5, 2).unavoidable
+    assert not scan_colorings(path(4), 4, 3).unavoidable
+    assert scan_colorings(path(4), 5, 3).unavoidable
 
 
 def test_unavoidable_vacuous_below_pattern_order():

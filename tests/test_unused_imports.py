@@ -1,8 +1,9 @@
 """Static checks on src/ and tests/: every imported name is used, no module
 defines the same top-level function or class name twice (the later
 definition silently replaces the earlier one, so a test defined twice runs
-once), and every top-level name of a package module is referenced somewhere
-in src/, tests/, bench/ or demos/.
+once), every top-level name of a package module is referenced somewhere
+in src/, tests/, bench/ or demos/, and ``zsforest.__all__`` lists exactly
+the names the package ``__init__.py`` imports.
 
 No linter is a project dependency, so these are small stdlib ``ast`` scans.
 ``from __future__`` imports are skipped, and so are the package
@@ -165,3 +166,17 @@ def test_every_package_name_is_referenced():
                 for name, line in top_level_names(source)
                 if name not in used]
     assert not problems, "never referenced:\n" + "\n".join(problems)
+
+
+def test_all_lists_exactly_the_reexports():
+    tree = ast.parse((ROOT / "src" / "zsforest" / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    listed = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and any(isinstance(t, ast.Name) and t.id == "__all__"
+                          for t in node.targets))
+    names = [ast.literal_eval(elt) for elt in listed.elts]
+    assert len(names) == len(set(names)), "__all__ repeats a name"
+    assert set(names) == imported
