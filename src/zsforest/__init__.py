@@ -8,12 +8,12 @@ from .classify import (ColorfulWitness, DominantPartition, NoDominantColor,
                        SwitcherQuad, colorful_witness, dominant_partition,
                        is_switcher, maximal_disjoint_switchers,
                        vibrant_vertices)
-from .core import (ColoredClique, CyclicInput, DegreeTwoTriples,
-                   DivisibilityViolation, DuplicateEdge, Embedding, Forest,
-                   IndexOutOfRange, InsufficientTriples, LeafFamilies,
-                   NotBushy, PreconditionFailed, Residue, SimpleGraph,
-                   ZeroSumError, build_forest, build_graph, edge_sum, is_bushy,
-                   is_prime, select_degree2_triples, select_leaf_families)
+from .core import (ColoredClique, CyclicInput, DivisibilityViolation,
+                   DuplicateEdge, Embedding, Forest, IndexOutOfRange,
+                   InsufficientTriples, LeafFamilies, NotBushy,
+                   PreconditionFailed, Residue, SimpleGraph, ZeroSumError,
+                   build_forest, build_graph, edge_sum, is_bushy, is_prime,
+                   select_degree2_triples, select_leaf_families)
 from .embedder import (CaseReport, GreedyStuck, MonochromaticityViolated,
                        NoZeroSumCopy, SelectionExhausted, TargetSets,
                        embed_bushy_nonvibrant, embed_bushy_vibrant,
@@ -26,14 +26,13 @@ from .fileio import (FileFormatError, clique_from_text, clique_to_text,
                      report_from_text, report_to_text)
 from .oracle import (BudgetExceeded, CheckpointMismatch, RamseyResult,
                      brute_zero_sum, compute_ramsey, exact_z2, exact_z3)
-from .sumset import (EmptyInputSet, MixedModulus, SumsetWitness,
-                     iterated_sumset, replay, target_choice)
+from .sumset import EmptyInputSet, MixedModulus, SumsetWitness, iterated_sumset
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceeded", "CaseReport", "CheckpointMismatch",
-    "ColoredClique", "ColorfulWitness", "CyclicInput", "DegreeTwoTriples",
+    "ColoredClique", "ColorfulWitness", "CyclicInput",
     "DivisibilityViolation", "DominantPartition", "DuplicateEdge", "Embedding",
     "EmptyInputSet", "FileFormatError", "Forest", "GreedyStuck",
     "IndexOutOfRange",
@@ -49,9 +48,9 @@ __all__ = [
     "embed_nonbushy_switchable", "exact_z2", "exact_z3", "find_zero_sum_copy",
     "forest_from_text", "forest_to_text", "graph_from_text",
     "is_bushy", "is_prime", "is_switcher", "iterated_sumset",
-    "maximal_disjoint_switchers", "replay",
+    "maximal_disjoint_switchers",
     "report_from_text", "report_to_text",
     "select_degree2_triples", "select_leaf_families", "select_target_sets",
-    "star_lower_bound_coloring", "target_choice",
+    "star_lower_bound_coloring",
     "verify_report", "vibrant_vertices",
 ]

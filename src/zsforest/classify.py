@@ -16,12 +16,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import ColoredClique, Forest, Residue, ZeroSumError, is_bushy
+from .core import (ColoredClique, Forest, PreconditionFailed, Residue,
+                   is_bushy)
 
 
-class NoDominantColor(ZeroSumError):
-    """Some vertex has no unique heavily-represented color; callers fall
-    back to brute force."""
+class NoDominantColor(PreconditionFailed):
+    """Some vertex has no unique heavily-represented color, so the
+    non-vibrant case does not apply."""
 
     def __init__(self, vertex: int, message: str):
         super().__init__(message)

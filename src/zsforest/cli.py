@@ -48,14 +48,6 @@ class _InputProblem(Exception):
     """Anything that should terminate with exit code 2."""
 
 
-def _load_forest(path: str) -> Forest:
-    return forest_from_text(read_text(path))
-
-
-def _load_clique(path: str) -> ColoredClique:
-    return clique_from_text(read_text(path))
-
-
 def _emit(fields: list[tuple[str, str]], started: float) -> None:
     fields.append(("time_total_s", f"{time.monotonic() - started:.3f}"))
     sys.stdout.write(report_to_text(fields))
@@ -79,8 +71,8 @@ def _input_fields(command: str, f: Optional[Forest],
 
 def cmd_classify(args) -> int:
     started = time.monotonic()
-    f = _load_forest(args.forest)
-    k = _load_clique(args.clique)
+    f = forest_from_text(read_text(args.forest))
+    k = clique_from_text(read_text(args.clique))
     p = k.modulus
 
     c = classify(f, k, p)
@@ -104,8 +96,8 @@ def cmd_classify(args) -> int:
 
 def cmd_find(args) -> int:
     started = time.monotonic()
-    f = _load_forest(args.forest)
-    k = _load_clique(args.clique)
+    f = forest_from_text(read_text(args.forest))
+    k = clique_from_text(read_text(args.clique))
     fields = _input_fields("find", f, k)
     try:
         report = find_zero_sum_copy(f, k, k.modulus,
@@ -137,8 +129,8 @@ def _report_value(fields: Sequence[tuple[str, str]], key: str) -> str:
 
 def cmd_verify(args) -> int:
     started = time.monotonic()
-    f = _load_forest(args.forest)
-    k = _load_clique(args.clique)
+    f = forest_from_text(read_text(args.forest))
+    k = clique_from_text(read_text(args.clique))
     parsed = report_from_text(read_text(args.report))
 
     problems = []

@@ -32,20 +32,23 @@ class IndexOutOfRange(ZeroSumError):
     pass
 
 
-class NotBushy(ZeroSumError):
+class PreconditionFailed(ZeroSumError):
+    """An operation's structural requirements do not hold for this input.
+
+    Every "this case does not apply" rejection of the four constructive
+    cases derives from it, so it is the one type the dispatcher catches."""
+
+
+class NotBushy(PreconditionFailed):
     """Forest has fewer than 2(p-1) leaves."""
 
 
-class InsufficientTriples(ZeroSumError):
+class InsufficientTriples(PreconditionFailed):
     """Greedy selection could not reach p-1 disjoint degree-2 triples."""
 
 
 class DivisibilityViolation(ZeroSumError):
     """Modulus does not divide the pattern's edge count."""
-
-
-class PreconditionFailed(ZeroSumError):
-    """An operation's structural requirements do not hold for this input."""
 
 
 def is_prime(n: int) -> bool:
@@ -71,11 +74,10 @@ def require_prime(p: int, context: str) -> None:
 
 @dataclass(frozen=True)
 class Residue:
-    """A reduced element of Z_m; :meth:`sum` adds residues of one modulus.
+    """A reduced element of Z_m: a color, an edge sum or a sumset element.
 
-    The constructive machinery only ever uses prime moduli (and checks that at
-    its entry points); the type itself allows any modulus >= 2 so that the
-    exhaustive oracle can represent composite-modulus colorings.
+    The constructive machinery only ever uses prime moduli and checks that at
+    its entry points; the type itself allows any modulus >= 2.
     """
 
     value: int
@@ -86,15 +88,6 @@ class Residue:
             raise ValueError(f"modulus must be >= 2, got {self.modulus}")
         if not 0 <= self.value < self.modulus:
             raise ValueError(f"value {self.value} not reduced mod {self.modulus}")
-
-    @staticmethod
-    def sum(items: Iterable["Residue"], modulus: int) -> "Residue":
-        total = 0
-        for r in items:
-            if r.modulus != modulus:
-                raise ValueError(f"mixed moduli {modulus} and {r.modulus}")
-            total += r.value
-        return Residue(total % modulus, modulus)
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -442,22 +435,18 @@ def select_leaf_families(f: Forest, p: int) -> LeafFamilies:
     return LeafFamilies(tuple(parents), tuple(counts), tuple(selected))
 
 
-@dataclass(frozen=True)
-class DegreeTwoTriples:
-    """p-1 triples (vertex, (lo, hi)) where each vertex has degree exactly 2
-    with neighbors lo < hi, and all 3(p-1) vertices are pairwise distinct
-    (which also forces the centers to be pairwise non-adjacent with disjoint
-    neighbor sets)."""
-
-    triples: tuple[tuple[int, tuple[int, int]], ...]
-
-
-def select_degree2_triples(f: Forest, p: int) -> DegreeTwoTriples:
+def select_degree2_triples(f: Forest, p: int
+                           ) -> tuple[tuple[int, tuple[int, int]], ...]:
     """Greedy lowest-index scan for p-1 vertex-disjoint degree-2 triples.
 
+    Each triple (vertex, (lo, hi)) has a vertex of degree exactly 2 with
+    neighbors lo < hi, and all 3(p-1) vertices are pairwise distinct (which
+    also forces the centers to be pairwise non-adjacent with disjoint
+    neighbor sets).
+
     Raises:
-        InsufficientTriples: the greedy cannot reach p-1 triples (callers
-            fall back to brute force).
+        InsufficientTriples: the greedy cannot reach p-1 triples, so the
+            switchable case does not apply.
     """
     used: set[int] = set()
     out: list[tuple[int, tuple[int, int]]] = []
@@ -472,4 +461,4 @@ def select_degree2_triples(f: Forest, p: int) -> DegreeTwoTriples:
     if len(out) < p - 1:
         raise InsufficientTriples(
             f"found {len(out)} disjoint degree-2 triples, need {p - 1}")
-    return DegreeTwoTriples(tuple(out))
+    return tuple(out)

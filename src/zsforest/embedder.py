@@ -29,15 +29,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import (Classification, ColorfulWitness, NoDominantColor,
-                       SwitcherQuad, classify, dominant_partition)
-from .core import (ColoredClique, DegreeTwoTriples, DivisibilityViolation,
-                   Embedding, Forest, InsufficientTriples, LeafFamilies,
-                   PreconditionFailed, Residue, ZeroSumError, edge_sum,
-                   require_prime, select_degree2_triples,
+from .classify import (Classification, ColorfulWitness, SwitcherQuad,
+                       classify, dominant_partition)
+from .core import (ColoredClique, DivisibilityViolation, Embedding, Forest,
+                   LeafFamilies, PreconditionFailed, Residue, ZeroSumError,
+                   edge_sum, require_prime, select_degree2_triples,
                    select_leaf_families)
 from .oracle import brute_zero_sum
-from .sumset import iterated_sumset, target_choice
+from .sumset import iterated_sumset
 
 log = logging.getLogger(__name__)
 
@@ -48,12 +47,12 @@ CASE_NONBUSHY_NONSWITCHABLE = "NonbushyNonswitchable"
 CASE_FALLBACK = "BruteForceFallback"
 
 
-class SelectionExhausted(ZeroSumError):
+class SelectionExhausted(PreconditionFailed):
     """Target-set selection ran out of candidates; only reachable when the
     colorful-witness preconditions were violated."""
 
 
-class GreedyStuck(ZeroSumError):
+class GreedyStuck(PreconditionFailed):
     """The one-color greedy found no continuation; cannot happen once the
     dominant class exceeds the forest by the full tolerance."""
 
@@ -62,7 +61,7 @@ class NoZeroSumCopy(ZeroSumError):
     """No zero-sum copy was produced (and, if the fallback ran, none exists)."""
 
 
-class MonochromaticityViolated(ZeroSumError):
+class MonochromaticityViolated(PreconditionFailed):
     """A certified switcher-free remainder was not one-colored.
 
     For odd p that falsifies the structural guarantee the case rests on
@@ -106,7 +105,7 @@ class MonochromaticCert:
 
 @dataclass(frozen=True)
 class SwitcherCert:
-    triples: DegreeTwoTriples
+    triples: tuple[tuple[int, tuple[int, int]], ...]
     quads: tuple[SwitcherQuad, ...]
     picks: tuple[int, ...]
 
@@ -233,7 +232,7 @@ def _steer(f: Forest, k: ColoredClique, pinned: Mapping[int, int],
     options = [[Residue(sum(k.value(mapping[nb], h) for nb in f.neighbors(v))
                         % p, p) for h in (h0, h1)]
                for v, h0, h1 in choices]
-    picks = target_choice(iterated_sumset(options), Residue((-s) % p, p))
+    picks = iterated_sumset(options).choice.get(Residue((-s) % p, p))
     if picks is None:  # impossible: p-1 pairs of distinct residues cover Z_p
         raise SelectionExhausted(f"zero target unreachable from {source}")
     for (v, h0, h1), pick in zip(choices, picks):
@@ -333,10 +332,7 @@ def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
     if not keep:
         raise PreconditionFailed("every vertex is colorful")
     sub, labels = k.induced(keep)
-    try:
-        part = dominant_partition(sub, p)
-    except NoDominantColor as err:
-        raise PreconditionFailed(f"no dominant partition: {err}") from err
+    part = dominant_partition(sub, p)
     class_local = part.classes[part.largest]
     class_hosts = [labels[v] for v in class_local]
     if len(class_hosts) < f.n:
@@ -371,10 +367,7 @@ def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
     if k.order < f.n + (p - 1):
         raise PreconditionFailed(
             f"host order {k.order} below {f.n + p - 1}")
-    try:
-        triples = select_degree2_triples(f, p)
-    except InsufficientTriples as err:
-        raise PreconditionFailed(str(err)) from err
+    triples = select_degree2_triples(f, p)
     quads = c.switchers
     if not c.switchable:
         raise PreconditionFailed(
@@ -383,7 +376,7 @@ def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
     # switcher property makes the two placements' edge sums differ
     pinned: dict[int, int] = {}
     choices = []
-    for (t, (a, b)), quad in zip(triples.triples, quads):
+    for (t, (a, b)), quad in zip(triples, quads):
         d1, d2, d3, d4 = quad.vertices
         pinned[a] = d2
         pinned[b] = d4
@@ -452,9 +445,6 @@ def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
 _CASE_ORDER = (embed_bushy_vibrant, embed_bushy_nonvibrant,
                embed_nonbushy_switchable, embed_nonbushy_nonswitchable)
 
-_RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
-                MonochromaticityViolated)
-
 
 def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
                        allow_fallback: bool = True) -> CaseReport:
@@ -480,7 +470,7 @@ def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
     for case in _CASE_ORDER:
         try:
             return case(f, k, p)
-        except _RECOVERABLE:
+        except PreconditionFailed:
             continue
     if allow_fallback:
         emb = brute_zero_sum(f, k, p)
@@ -609,12 +599,11 @@ def _verify_switcher(r: CaseReport) -> bool:
     p = k.modulus
     cert: SwitcherCert = r.auxiliary
     mp = r.embedding.mapping
-    if not (len(cert.triples.triples) == len(cert.quads) == len(cert.picks)
-            == p - 1):
+    if not len(cert.triples) == len(cert.quads) == len(cert.picks) == p - 1:
         return False
     seen_forest: set[int] = set()
     seen_host: set[int] = set()
-    for (t, (a, bb)), quad, pick in zip(cert.triples.triples, cert.quads,
+    for (t, (a, bb)), quad, pick in zip(cert.triples, cert.quads,
                                         cert.picks):
         if f.degree(t) != 2 or f.neighbors(t) != (a, bb):
             return False

@@ -38,6 +38,10 @@ def _ints(no: int, line: str, count: int, what: str) -> list[int]:
         raise FileFormatError(f"line {no}: non-integer field in {line!r}")
 
 
+# the two numbers each header kind carries, as the README names them
+_HEADER_FIELDS = {"forest": "<n> <m>", "clique": "<N> <p>"}
+
+
 def _parse_edge_header(lines, kind: str):
     try:
         no, first = next(lines)
@@ -46,7 +50,8 @@ def _parse_edge_header(lines, kind: str):
     parts = first.split()
     if len(parts) != 3 or parts[0] != kind:
         raise FileFormatError(
-            f"line {no}: expected header {kind!r} <n> <m>, got {first!r}")
+            f"line {no}: expected header {kind!r} {_HEADER_FIELDS[kind]}, "
+            f"got {first!r}")
     try:
         n, m = int(parts[1]), int(parts[2])
     except ValueError:

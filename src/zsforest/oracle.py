@@ -187,20 +187,6 @@ def _write_entries(path: str, entries: dict[str, int]) -> None:
     os.replace(tmp, path)
 
 
-def read_checkpoint(path: str) -> tuple[int, str]:
-    """The last entry in the file, as (next counter, fingerprint). Each new
-    order's entry goes to the end."""
-    fp, counter = list(_read_entries(path).items())[-1]
-    return counter, fp
-
-
-def write_checkpoint(path: str, counter: int, fingerprint: str) -> None:
-    """Set one entry, keeping the entries of the other orders."""
-    entries = _read_entries(path) if os.path.exists(path) else {}
-    entries[fingerprint] = counter
-    _write_entries(path, entries)
-
-
 class _Enumeration:
     """Counter arithmetic for one (order, k, reduction) coloring space."""
 

@@ -41,7 +41,9 @@ def random_coloring(order: int, modulus: int, seed: int) -> ColoredClique:
     if modulus < 2:
         raise ValueError(f"modulus must be >= 2, got {modulus}")
     stream = splitmix64(seed)
-    mat = np.zeros((order, order), dtype=np.int16)
+    # int64, so that the constructor rejects a modulus whose colors int16
+    # cannot hold before it casts
+    mat = np.zeros((order, order), dtype=np.int64)
     for u, v in combinations(range(order), 2):
         c = next(stream) % modulus
         mat[u, v] = c

@@ -1,10 +1,10 @@
-"""Iterated sumsets over Z_p with replayable choice witnesses.
+"""Iterated sumsets over Z_p with one choice vector per reachable target.
 
 The selection arguments both reduce to the same fact: given enough residue
 sets, every target value is reachable by picking one element from each set.
 :func:`iterated_sumset` computes the full reachable set by dynamic programming
 and keeps one back-pointer per residue (first reached wins), so any
-achievable target can be replayed as a vector of concrete picks.
+achievable target comes with a vector of concrete picks.
 
 Guaranteed lower bound: |A_1 + ... + A_n| >= min(p, sum |A_i| - n + 1).
 """
@@ -12,7 +12,7 @@ Guaranteed lower bound: |A_1 + ... + A_n| >= min(p, sum |A_i| - n + 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import Residue, ZeroSumError, require_prime
 
@@ -31,39 +31,26 @@ class SumsetWitness:
 
     ``choice[r][i]`` indexes into the i-th input as given to
     :func:`iterated_sumset` (duplicates keep their first position, so every
-    stored index points at the first occurrence of its value). ``inputs``
-    holds the materialized input sequences the indices refer to.
+    stored index points at the first occurrence of its value).
     """
 
     modulus: int
     achievable: frozenset
     choice: Mapping[Residue, tuple[int, ...]]
-    inputs: tuple[tuple[Residue, ...], ...]
 
 
-def _materialize(sets: Iterable) -> list[tuple[Residue, ...]]:
-    out = []
-    for s in sets:
-        if isinstance(s, (set, frozenset)):
-            seq = sorted(s, key=lambda r: r.value)
-        else:
-            seq = list(s)
-        out.append(tuple(seq))
-    return out
+def iterated_sumset(sets: Iterable[Sequence[Residue]]) -> SumsetWitness:
+    """Full iterated sumset of nonempty residue sequences over one prime
+    modulus.
 
-
-def iterated_sumset(sets: Iterable) -> SumsetWitness:
-    """Full iterated sumset of nonempty residue sets over one prime modulus.
-
-    Unordered inputs are materialized in ascending value order; sequences
-    keep their given order and choice indices refer to it. An empty family
-    is rejected outright since no modulus can be recovered from it.
+    Choice indices refer to each sequence in the order given. An empty
+    family is rejected outright since no modulus can be recovered from it.
 
     Raises:
         EmptyInputSet: no sets at all, or a summand with no elements.
         MixedModulus: two summands disagree on the modulus.
     """
-    seqs = _materialize(sets)
+    seqs = list(sets)
     if not seqs:
         raise EmptyInputSet("need at least one summand set")
     if any(len(s) == 0 for s in seqs):
@@ -111,22 +98,4 @@ def iterated_sumset(sets: Iterable) -> SumsetWitness:
     n = len(seqs)
     bound = min(p, sum(len(v) for v in levels) - n + 1)
     assert len(achievable) >= bound, "sumset bound violated"
-    return SumsetWitness(modulus=p, achievable=achievable, choice=choice,
-                         inputs=tuple(seqs))
-
-
-def target_choice(w: SumsetWitness, target: Residue
-                  ) -> Optional[tuple[int, ...]]:
-    """The stored index vector reaching the target, or None."""
-    if target.modulus != w.modulus:
-        raise MixedModulus(
-            f"target modulus {target.modulus} != witness {w.modulus}")
-    return w.choice.get(target)
-
-
-def replay(w: SumsetWitness, picks: Sequence[int]) -> Residue:
-    """Sum the picked elements; the soundness check for a choice vector."""
-    if len(picks) != len(w.inputs):
-        raise ValueError(
-            f"{len(picks)} picks for {len(w.inputs)} summand sets")
-    return Residue.sum((seq[i] for seq, i in zip(w.inputs, picks)), w.modulus)
+    return SumsetWitness(modulus=p, achievable=achievable, choice=choice)

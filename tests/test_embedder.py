@@ -2,16 +2,19 @@
 order, and seeded soundness sweeps cross-checked against the oracle."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
-from zsforest import (DivisibilityViolation, PreconditionFailed, Residue,
+from zsforest import (DivisibilityViolation, InsufficientTriples,
+                      NoDominantColor, NotBushy, PreconditionFailed, Residue,
                       brute_zero_sum, dominant_partition, edge_sum,
                       find_zero_sum_copy, is_bushy,
                       maximal_disjoint_switchers, select_leaf_families,
                       star_lower_bound_coloring, verify_report,
                       vibrant_vertices)
+from zsforest import selftest
 from zsforest.classify import ColorfulWitness
 from zsforest.core import ColoredClique
 from zsforest.embedder import (CASE_BUSHY_NONVIBRANT, CASE_BUSHY_VIBRANT,
@@ -371,6 +374,7 @@ def test_dispatch_guarantee_scale_no_fallback():
 @pytest.mark.parametrize("p, n, order, hosts, paths", [
     (7, 74, 125, 5, [20, 18, 18, 18]),
     (11, 242, 329, 2, [22] * 11),
+    (13, 362, 467, 1, [33] * 10 + [32]),
 ])
 def test_guarantee_scale_large_primes(p, n, order, hosts, paths):
     # n = 3p^2 - 12p + 11 and order = n + 9p - 12, on random and on
@@ -386,24 +390,39 @@ def test_guarantee_scale_large_primes(p, n, order, hosts, paths):
                 assert verify_report(r)
                 cases.add(r.case_used)
     assert CASE_BUSHY_VIBRANT in cases and CASE_BUSHY_NONVIBRANT in cases
-    if p == 7:
+    if p in (7, 13):
         assert CASE_NONBUSHY_SWITCHABLE in cases
 
 
 PUBLIC_ORDER = (embed_bushy_vibrant, embed_bushy_nonvibrant,
                 embed_nonbushy_switchable, embed_nonbushy_nonswitchable)
-RECOVERABLE = (PreconditionFailed, SelectionExhausted, GreedyStuck,
-               MonochromaticityViolated)
+
+
+def test_rejections_form_one_family():
+    # the one type the dispatcher catches; an ill-posed question and a
+    # final "no copy" are not rejections of a single case
+    for rejection in (NotBushy, InsufficientTriples, NoDominantColor,
+                      SelectionExhausted, GreedyStuck,
+                      MonochromaticityViolated):
+        assert issubclass(rejection, PreconditionFailed), rejection
+    for outcome in (DivisibilityViolation, NoZeroSumCopy):
+        assert not issubclass(outcome, PreconditionFailed), outcome
+
+
+def _k59_instances():
+    """P_26 and a random 26-vertex tree on random and near-one-colored
+    K_59 over Z_5: guarantee scale at p = 5."""
+    for seed in range(3):
+        for k in (random_coloring(59, 5, seed),
+                  _near_mono_clique(59, 5, seed)):
+            yield random_tree(26, seed=1), k, 5
+            yield path(26), k, 5
 
 
 def test_dispatch_equals_first_public_engine():
     """The dispatcher's report is the first public engine's, in the
-    documented order, that does not raise a recoverable error."""
-    instances = list(_finder_vs_oracle_instances(400))
-    for seed in range(3):
-        for k in (random_coloring(59, 5, seed),
-                  _near_mono_clique(59, 5, seed)):
-            instances += [(random_tree(26, seed=1), k, 5), (path(26), k, 5)]
+    documented order, that does not reject the instance."""
+    instances = list(_finder_vs_oracle_instances(400)) + list(_k59_instances())
     cases = set()
     for f, k, p in instances:
         want = None
@@ -411,7 +430,7 @@ def test_dispatch_equals_first_public_engine():
             try:
                 want = engine(f, k, p)
                 break
-            except RECOVERABLE:
+            except PreconditionFailed:
                 continue
         if want is None:
             with pytest.raises(NoZeroSumCopy):
@@ -430,6 +449,57 @@ def test_dispatch_equals_first_public_engine():
                      (3, CASE_NONBUSHY_SWITCHABLE), (5, CASE_BUSHY_VIBRANT),
                      (5, CASE_BUSHY_NONVIBRANT),
                      (5, CASE_NONBUSHY_SWITCHABLE)}
+
+
+# sha256 of the outcomes below, recorded from the finder as it stood when
+# the test was written; any change to a case, mapping, flag or verdict on
+# this corpus changes it
+FINDER_DIGEST = (
+    "b7078fe2612c1bba71a63ac11741e643e843ec7b97d812fa88fa9b2122b88c28")
+
+
+def _outcome(report):
+    if report is None:
+        return "NoZeroSumCopy"
+    return (report.case_used, tuple(int(h) for h in report.embedding.mapping),
+            report.bushy, report.vibrant, report.switchable,
+            verify_report(report))
+
+
+def _find_or_none(f, k, p, allow_fallback):
+    try:
+        return find_zero_sum_copy(f, k, p, allow_fallback=allow_fallback)
+    except NoZeroSumCopy:
+        return None
+
+
+def test_recorded_finder_digest(monkeypatch):
+    """Case, mapping, flags and verdict on a fixed corpus that reaches
+    every case, the fallback and NoZeroSumCopy: criterion 9's first 300
+    draws with and without the fallback, the K_59/Z_5 finds, and criterion
+    5's instances (ten per prime and case), each through its own engine.
+    Certificates are left out, so their types may change."""
+    outcomes = [_outcome(_find_or_none(f, k, p, fallback))
+                for f, k, p in _finder_vs_oracle_instances(300)
+                for fallback in (True, False)]
+    outcomes += [_outcome(_find_or_none(f, k, p, False))
+                 for f, k, p in _k59_instances()]
+    engine_reports = []
+    for name in ("embed_bushy_vibrant", "embed_nonbushy_switchable",
+                 "embed_nonbushy_nonswitchable"):
+        def record(f, k, p, engine=getattr(selftest, name)):
+            engine_reports.append(engine(f, k, p))
+            return engine_reports[-1]
+        monkeypatch.setattr(selftest, name, record)
+    for case in (selftest._case_a, selftest._case_b, selftest._case_c):
+        assert case(10)[2] == []
+    outcomes += [_outcome(r) for r in engine_reports]
+    cases = {o if o == "NoZeroSumCopy" else o[0] for o in outcomes}
+    assert cases == {CASE_BUSHY_VIBRANT, CASE_BUSHY_NONVIBRANT,
+                     CASE_NONBUSHY_SWITCHABLE, CASE_NONBUSHY_NONSWITCHABLE,
+                     CASE_FALLBACK, "NoZeroSumCopy"}
+    got = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert got == FINDER_DIGEST
 
 
 # --- verification ------------------------------------------------------------

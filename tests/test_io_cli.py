@@ -114,6 +114,13 @@ def test_clique_rejects(text):
         clique_from_text(text)
 
 
+def test_header_error_names_the_fields_of_its_kind():
+    with pytest.raises(FileFormatError, match="'clique' <N> <p>,"):
+        clique_from_text("clique 3\n")
+    with pytest.raises(FileFormatError, match="'forest' <n> <m>,"):
+        forest_from_text("forest 3\n0 1\n1 2\n")
+
+
 # --- reports and embeddings --------------------------------------------------
 
 
@@ -268,10 +275,16 @@ def test_cli_input_errors(files, capsys):
                        "--clique", str(files / "k22.clique"))
     assert code == 2 and "divide" in err
 
+    # seed 2 draws a color of 35951, which int16 cannot hold: the modulus
+    # bound rejects the clique before any cast
+    code, out, err = run(capsys, "random", "--n", "3", "--p", "40000",
+                         "--seed", "2")
+    assert code == 2 and out == "" and err.startswith("error: modulus")
+
 
 def test_cli_sizes_that_cannot_be_allocated(files, capsys):
-    # K_{10^7} as an int16 matrix needs 182 TiB, more than a process can
-    # address, so these fail at once without touching memory
+    # K_{10^7} needs 182 TiB even as an int16 matrix, more than a process
+    # can address, so these fail at once without touching memory
     (files / "huge.clique").write_text("clique 10000000 3\n")
     for argv in (("random", "--n", "10000000", "--p", "3", "--seed", "1"),
                  ("extremal", "star", "--n", "10000000", "--p", "3"),

@@ -11,8 +11,8 @@ from zsforest import (BudgetExceeded, CheckpointMismatch, ColoredClique,
                       build_graph, compute_ramsey, edge_sum, exact_z2,
                       exact_z3)
 from zsforest import oracle
-from zsforest.oracle import (_Enumeration, _subgraph_copies, read_checkpoint,
-                             scan_colorings, write_checkpoint)
+from zsforest.oracle import (_Enumeration, _read_entries, _subgraph_copies,
+                             _write_entries, scan_colorings)
 
 
 def path(n):
@@ -220,9 +220,9 @@ def test_split_digit_scan_resumes_inside_a_block(tmp_path):
         cp = str(tmp_path / f"scan{i}.ckpt")
         scan_colorings(g, 5, 3, reduce_symmetry=reduce_symmetry,
                        checkpoint=cp)
-        _, fp = read_checkpoint(cp)
+        [fp] = _read_entries(cp)
         for start in starts:
-            write_checkpoint(cp, start, fp)
+            _write_entries(cp, {fp: start})
             res = scan_colorings(g, 5, 3, reduce_symmetry=reduce_symmetry,
                                  checkpoint=cp)
             _agrees(res, _reference_scan(g, 5, 3, reduce_symmetry, start), 5)
@@ -238,8 +238,8 @@ def test_split_digit_scan_with_two_jobs(tmp_path):
     _agrees(res, _reference_scan(path(3), 5, 3, False), 5)
     cp = str(tmp_path / "scan.ckpt")
     scan_colorings(matching(2), 7, 2, reduce_symmetry=True, checkpoint=cp)
-    _, fp = read_checkpoint(cp)
-    write_checkpoint(cp, 70001, fp)
+    [fp] = _read_entries(cp)
+    _write_entries(cp, {fp: 70001})
     res = scan_colorings(matching(2), 7, 2, reduce_symmetry=True, jobs=2,
                          checkpoint=cp)
     _agrees(res, _reference_scan(matching(2), 7, 2, True, 70001), 7)
@@ -287,7 +287,7 @@ def test_checkpoint_roundtrip_and_resume(tmp_path):
     cp = str(tmp_path / "scan.ckpt")
     r1 = scan_colorings(path(4), 5, 3, checkpoint=cp)
     assert r1.unavoidable
-    counter, fp = read_checkpoint(cp)
+    [counter] = _read_entries(cp).values()
     assert counter == 3 ** 10
     # resume from a completed checkpoint: verdict stands, nothing rescanned
     r2 = scan_colorings(path(4), 5, 3, checkpoint=cp)
@@ -300,8 +300,8 @@ def test_checkpoint_partial_resume(tmp_path):
     fullspace = 3 ** 10
     # run once to learn the fingerprint, then rewind the file halfway
     scan_colorings(path(4), 5, 3, checkpoint=cp)
-    _, fp = read_checkpoint(cp)
-    write_checkpoint(cp, fullspace // 2, fp)
+    [fp] = _read_entries(cp)
+    _write_entries(cp, {fp: fullspace // 2})
     r = scan_colorings(path(4), 5, 3, checkpoint=cp)
     assert r.unavoidable
     assert r.colorings_checked == fullspace - fullspace // 2
@@ -370,7 +370,7 @@ def test_checkpoint_resumes_run_interrupted_in_second_order(tmp_path,
     with pytest.raises(_Interrupted):
         compute_ramsey(g, 2, 8, checkpoint=cp)
     monkeypatch.undo()
-    counter, fp = read_checkpoint(cp)
+    fp, counter = list(_read_entries(cp).items())[-1]
     assert fp.endswith("-7") and 0 < counter < 2 ** 21
 
     resumed = compute_ramsey(g, 2, 8, checkpoint=cp)

@@ -1,5 +1,5 @@
-"""Sumset DP tests: frozen examples, the additive lower bound, replay
-soundness, and brute-force equality on small families."""
+"""Sumset DP tests: frozen examples, the additive lower bound, soundness of
+the stored choice vectors, and brute-force equality on small families."""
 
 import itertools
 
@@ -7,32 +7,37 @@ import pytest
 
 from zsforest import PreconditionFailed, Residue
 from zsforest.randomgen import splitmix64
-from zsforest.sumset import (EmptyInputSet, MixedModulus, iterated_sumset,
-                             replay, target_choice)
+from zsforest.sumset import EmptyInputSet, MixedModulus, iterated_sumset
 
 
 def rs(values, p):
     return [Residue(v, p) for v in values]
 
 
+def picked_sum(fam, picks, p):
+    """The residue that one pick from each summand adds up to."""
+    return Residue(sum(s[i].value for s, i in zip(fam, picks, strict=True))
+                   % p, p)
+
+
 def test_two_binary_sets_cover_z3():
     w = iterated_sumset([rs([0, 1], 3), rs([0, 1], 3)])
     assert {r.value for r in w.achievable} == {0, 1, 2}
-    assert target_choice(w, Residue(2, 3)) == (1, 1)
-    assert target_choice(w, Residue(0, 3)) == (0, 0)
+    assert w.choice[Residue(2, 3)] == (1, 1)
+    assert w.choice[Residue(0, 3)] == (0, 0)
     assert len(w.achievable) >= min(3, 2 + 2 - 1)
 
 
 def test_singleton_sets_stay_put():
     w = iterated_sumset([rs([0], 5)] * 4)
     assert {r.value for r in w.achievable} == {0}
-    assert target_choice(w, Residue(0, 5)) == (0, 0, 0, 0)
+    assert w.choice[Residue(0, 5)] == (0, 0, 0, 0)
 
 
 def test_unreachable_target_absent():
     w = iterated_sumset([rs([1], 3)])
-    assert target_choice(w, Residue(0, 3)) is None
-    assert target_choice(w, Residue(1, 3)) == (0,)
+    assert w.choice.get(Residue(0, 3)) is None
+    assert w.choice[Residue(1, 3)] == (0,)
 
 
 def test_errors():
@@ -42,22 +47,13 @@ def test_errors():
         iterated_sumset([rs([1], 3), []])
     with pytest.raises(MixedModulus):
         iterated_sumset([rs([1], 3), rs([1], 5)])
-    with pytest.raises(MixedModulus):
-        target_choice(iterated_sumset([rs([1], 3)]), Residue(0, 5))
     with pytest.raises(PreconditionFailed):
         iterated_sumset([rs([0, 1], 4)])
 
 
 def test_duplicate_values_keep_first_index():
     w = iterated_sumset([[Residue(2, 5), Residue(2, 5), Residue(1, 5)]])
-    picks = target_choice(w, Residue(2, 5))
-    assert picks == (0,)
-
-
-def test_unordered_input_normalized_ascending():
-    w = iterated_sumset([{Residue(2, 3), Residue(0, 3)}])
-    assert w.inputs == ((Residue(0, 3), Residue(2, 3)),)
-    assert target_choice(w, Residue(2, 3)) == (1,)
+    assert w.choice[Residue(2, 5)] == (0,)
 
 
 def test_two_element_sets_cover_everything_at_p_minus_1():
@@ -73,8 +69,8 @@ def test_two_element_sets_cover_everything_at_p_minus_1():
             w = iterated_sumset(fam)
             assert len(w.achievable) == p
             for t in range(p):
-                picks = target_choice(w, Residue(t, p))
-                assert replay(w, picks).value == t
+                picks = w.choice[Residue(t, p)]
+                assert picked_sum(fam, picks, p).value == t
 
 
 def test_cauchy_davenport_bound_seeded():
@@ -93,7 +89,7 @@ def test_cauchy_davenport_bound_seeded():
             w = iterated_sumset(fam)
             assert len(w.achievable) >= min(p, distinct_total - n + 1)
             for r in w.achievable:
-                assert replay(w, w.choice[r]) == r
+                assert picked_sum(fam, w.choice[r], p) == r
 
 
 def test_brute_force_equivalence_small_families():

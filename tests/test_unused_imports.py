@@ -2,8 +2,10 @@
 defines the same top-level function or class name twice (the later
 definition silently replaces the earlier one, so a test defined twice runs
 once), every top-level name of a package module is referenced somewhere
-in src/, tests/, bench/ or demos/, and ``zsforest.__all__`` lists exactly
-the names the package ``__init__.py`` imports.
+in src/, tests/, bench/ or demos/, ``zsforest.__all__`` lists exactly
+the names the package ``__init__.py`` imports, and every name that
+bench/*.py imports from ``zsforest`` exists there, so a deletion under src/
+that would break the benchmark fails here first.
 
 No linter is a project dependency, so these are small stdlib ``ast`` scans.
 ``from __future__`` imports are skipped, and so are the package
@@ -11,6 +13,7 @@ No linter is a project dependency, so these are small stdlib ``ast`` scans.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -180,3 +183,37 @@ def test_all_lists_exactly_the_reexports():
     names = [ast.literal_eval(elt) for elt in listed.elts]
     assert len(names) == len(set(names)), "__all__ repeats a name"
     assert set(names) == imported
+
+
+def zsforest_imports(source: str) -> list[tuple[str, str, int]]:
+    """(module, name, line) for each name that a ``from zsforest...
+    import`` statement takes, at any depth of the module."""
+    return [(node.module, alias.name, node.lineno)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "zsforest"
+            for alias in node.names]
+
+
+def test_zsforest_import_scanner_sees_each_form():
+    source = (
+        "from zsforest import A, B as C\n"
+        "import zsforest\n"
+        "from zsforest.oracle import (D,\n"
+        "                             E)\n"
+        "from zsforestry import F\n"
+        "from . import G\n"
+        "def f():\n"
+        "    from zsforest.cli import H\n")
+    assert zsforest_imports(source) == [
+        ("zsforest", "A", 1), ("zsforest", "B", 1),
+        ("zsforest.oracle", "D", 3), ("zsforest.oracle", "E", 3),
+        ("zsforest.cli", "H", 8)]
+
+
+def test_bench_imports_resolve():
+    problems = [f"bench/{path.name}:{line}: {module}.{name}"
+                for path in sorted((ROOT / "bench").glob("*.py"))
+                for module, name, line in zsforest_imports(path.read_text())
+                if not hasattr(importlib.import_module(module), name)]
+    assert not problems, "missing in zsforest:\n" + "\n".join(problems)
