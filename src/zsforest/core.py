@@ -258,6 +258,13 @@ def build_forest(n: int, edges: Iterable[tuple[int, int]]) -> Forest:
 _MAX_MODULUS = 2 ** 15
 
 
+def check_modulus(modulus: int) -> None:
+    """Reject a coloring modulus that :class:`ColoredClique` cannot hold."""
+    if not 2 <= modulus <= _MAX_MODULUS:
+        raise ValueError(
+            f"modulus must be in [2, {_MAX_MODULUS}], got {modulus}")
+
+
 class ColoredClique:
     """A complete graph K_N with a total edge coloring by residues mod m.
 
@@ -273,9 +280,7 @@ class ColoredClique:
     def __init__(self, order: int, modulus: int, matrix: np.ndarray):
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        if not 2 <= modulus <= _MAX_MODULUS:
-            raise ValueError(
-                f"modulus must be in [2, {_MAX_MODULUS}], got {modulus}")
+        check_modulus(modulus)
         raw = np.asarray(matrix)
         if raw.shape != (order, order):
             raise ValueError("color matrix shape mismatch")

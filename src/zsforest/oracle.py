@@ -23,15 +23,21 @@ order).
 
 Cost of a scan over m = C(N,2) edges with C distinct copies of the pattern.
 The check splits the counter at its L low digits, L about m/2 (at most the
-suffix length under the reduction, and k^L <= 2^16). Once per scan it sums
-each copy's low edges for all k^L low-digit rows and packs the residues
-into C*k bitmasks of k^L bits. Each aligned block of k^L counters then
-costs one small matmul for the copies' high sums and an OR of C selected
-masks, so a scan of S colorings does about C*S/64 word operations and
-nothing per coloring in Python. Batches keep the gathered masks to about
-1 MB. On a 2-vCPU shared VM, P_4 in K_6 over Z_3 (3^15 colorings, 360
-copies) takes about 0.1 s, and the reduced scan of P_4 in K_7 over Z_3
-(4.0e8 colorings, 420 copies) about 5 s.
+suffix length under the reduction, and k^L <= 2^16). Once per scan it
+builds k bitmasks of k^L bits for each distinct set of low edges among the
+copies, marking the low-digit rows where minus their sum is each residue;
+each set's masks are an AND/OR convolution of one bitmask per (low digit,
+value). An aligned block of k^L counters then needs the OR, over copies,
+of the mask its high sum selects, but only until all of its bits are set:
+a batch of blocks takes the copies in passes of doubling length, fewest
+low edges first, and drops each block as soon as it is full. So a block
+costs k^L/64 word operations for each copy up to the one that fills it,
+not for all C: P_4 in K_6 over Z_3 has 180 copies, and a block is full
+after 3.8 of them on average (median 2, worst 83). No temporary holds
+more than 2^13 words (64 KB), and nothing is done per coloring in Python.
+On a 2-vCPU shared VM, that P_4 scan (3^15 colorings) takes about 7 ms,
+and the reduced scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420 copies)
+about 0.2 s.
 """
 
 from __future__ import annotations
@@ -50,7 +56,9 @@ from .core import (ColoredClique, DivisibilityViolation, Embedding, Forest,
 DEFAULT_BUDGET = 20_000_000
 _TASK_COLORINGS = 1 << 16  # least colorings per task, so per checkpoint write
 _MAX_BLOCK = 1 << 16  # most low-digit rows per block
-_BATCH_WORDS = 1 << 17  # 64-bit words gathered at once, about 1 MB
+_PASS_WORDS = 1 << 13  # most 64-bit words in one temporary, 64 KB
+_MIN_PASS_WORDS = 1 << 12  # a shorter pass costs more in calls than in work
+_FULL = np.uint64(2 ** 64 - 1)
 
 
 class BudgetExceeded(ZeroSumError):
@@ -209,6 +217,9 @@ class _Enumeration:
             self.suffix_len = self.m
             self.suffix_size = k ** self.m
             self.total = self.suffix_size
+        # place value of each suffix digit, the last edge's being 1
+        self.powers = k ** np.arange(self.suffix_len - 1, -1, -1,
+                                     dtype=np.int64)
 
     def colors_block(self, start: int, count: int, step: int = 1
                      ) -> np.ndarray:
@@ -221,18 +232,16 @@ class _Enumeration:
             lo = self.order - 1
             rank, idx = np.divmod(idx, self.suffix_size)
             out[:, :lo] = self.prefixes[rank]
-        for j in range(self.m - 1, lo - 1, -1):
-            out[:, j] = idx % self.k
-            idx //= self.k
+        out[:, lo:] = idx[:, None] // self.powers % self.k
         return out
 
     def coloring_at(self, counter: int) -> ColoredClique:
-        digits = self.colors_block(counter, 1)[0]
-        mat = np.zeros((self.order, self.order), dtype=np.int16)
-        for e, (u, v) in enumerate(_edge_list(self.order)):
-            mat[u, v] = digits[e]
-            mat[v, u] = digits[e]
-        return ColoredClique(self.order, self.k, mat)
+        rows = [[0] * self.order for _ in range(self.order)]
+        for (u, v), c in zip(_edge_list(self.order),
+                             self.colors_block(counter, 1)[0].tolist()):
+            rows[u][v] = rows[v][u] = c
+        return ColoredClique(self.order, self.k,
+                             np.array(rows, dtype=np.int16))
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -246,11 +255,15 @@ class _SplitScan:
     at the low digits.
 
     A block is an aligned run of k^L counters: it fixes the high m - L
-    digits and runs through every assignment of the L low ones. So each
-    copy's sum over its low edges is known per low-digit row once per scan,
-    and stored as one bitmask per (copy, residue) marking the rows where it
-    takes that residue. A block's colorings with a zero-sum copy are then
-    the OR, over copies, of the mask selected by minus the copy's high sum.
+    digits and runs through every assignment of the L low ones. So minus
+    each copy's sum over its low edges is known per low-digit row once per
+    scan, and stored as one bitmask per (set of low edges, residue) marking
+    the rows where it takes that residue. A block's colorings with a
+    zero-sum copy are then the OR, over copies, of the mask selected by the
+    copy's high sum. A block leaves the OR once all of its bits are set, so
+    the copies after that cost it nothing. The copies with the fewest low
+    edges come first, because one with none fills its block when its high
+    sum is 0; OR does not depend on the order.
     """
 
     def __init__(self, enum: _Enumeration, copies: np.ndarray):
@@ -259,41 +272,72 @@ class _SplitScan:
         while k ** low > _MAX_BLOCK:
             low -= 1
         self.enum = enum
-        self.split = m - low  # number of high digits
+        self.split = split = m - low  # number of high digits
         self.block = k ** low
         self.words = words = -(-self.block // 64)
+        order = np.argsort((copies >= split).sum(axis=1), kind="stable")
+        copies = copies[order]
         ncopies = len(copies)
         incidence = np.zeros((m, ncopies), dtype=np.int16)
         incidence[copies, np.arange(ncopies)[:, None]] = 1
-        self.high = incidence[:self.split]
-        self.offsets = np.arange(ncopies) * k
+        self.high = incidence[:split]
+        # copies with the same low edges share their masks; in a copy's
+        # edge list, -1 stands for a high edge and indexes the last digit
+        # row below
+        index: dict[tuple, int] = {}
+        edge_lists = np.maximum(copies - split, -1).tolist()
+        which = [index.setdefault(tuple(e), len(index)) for e in edge_lists]
+        self.offsets = np.array(which) * k
+        keys = list(index)
+        sets = np.array(keys)
 
-        low_digits = enum.colors_block(0, self.block)[:, self.split:]
-        residues = np.arange(k)[:, None]
-        self.masks = np.empty((ncopies * k, words), dtype=np.uint64)
-        # copies per pass, keeping each pass's temporaries near 256 KB
-        step = max(1, min(ncopies, 2 * _BATCH_WORDS // (k * words * 64)))
-        sums = np.full((step, words * 64), -1, dtype=np.int16)
-        for c0 in range(0, ncopies, step):
-            part = incidence[self.split:, c0:c0 + step]
-            sums[:part.shape[1], :self.block] = (low_digits @ part).T % k
-            hit = sums[:part.shape[1], None, :] == residues
-            self.masks[c0 * k:(c0 + step) * k] = (
-                _pack(hit).reshape(-1, words))
-        # rows past the end of a block, set so that they never look missing
-        self.pad = _pack(np.arange(words * 64) >= self.block)
+        # bitmask of (low digit, r): the rows where minus that digit is r.
+        # The last digit is always 0 and stands in for a copy's high edges;
+        # the rows past the end of a block get k, so no mask has them.
+        digit_masks = np.empty((low + 1, k, words), dtype=np.uint64)
+        places = enum.powers[enum.suffix_len - low:, None]
+        residues = np.arange(k)
+        # words of rows per pass, so that neither the int64 digits nor
+        # their comparison with each residue exceeds _PASS_WORDS words
+        span = max(1, _PASS_WORDS // (8 * (low + 1) * max(k, 8)))
+        for w0 in range(0, words, span):
+            rows = np.arange(64 * w0, 64 * min(words, w0 + span))
+            digits = np.zeros((low + 1, len(rows)), dtype=np.int64)
+            digits[:low] = -(rows // places) % k
+            digits[:, max(0, self.block - 64 * w0):] = k
+            digit_masks[..., w0:w0 + span] = _pack(
+                digits[:, None] == residues[:, None])
+        # set so that the rows past the end of a block never look missing
+        self.pad = ~digit_masks[low, 0]
+        # residue s of a sum of two terms: the OR over r of (first term is
+        # s - r) AND (second term is r); a negative index s - r counts
+        # from the end, so it picks residue s - r + k
+        shift = residues[:, None] - residues
+        edges = sets.shape[1]
+        masks = np.empty((len(sets), k, words), dtype=np.uint64)
+        step = max(1, _PASS_WORDS // (k * k * words))
+        for c0 in range(0, len(sets), step):
+            # a copy's high edges come first, and the last set of a pass
+            # has the most low edges, so the columns before its first low
+            # edge hold the always-0 digit for every set of the pass
+            c1 = min(len(sets), c0 + step)
+            part = sets[c0:c1, min(keys[c1 - 1].count(-1), edges - 1):]
+            acc = digit_masks[part[:, 0]]
+            for slot in part[:, 1:].T:
+                acc = np.bitwise_or.reduce(
+                    acc[:, shift] & digit_masks[slot, None], axis=2)
+            masks[c0:c1] = acc
+        self.masks = masks.reshape(-1, words)
 
-        self.copy_step = max(1, min(ncopies, _BATCH_WORDS // words))
         self.batch = max(1, min(enum.total // self.block,
-                                _BATCH_WORDS // (self.copy_step * words)))
-        # one gather buffer for every batch: a fresh 1 MB array per batch
-        # comes from new pages each time and took twice as long
-        self.gathered = np.empty(self.batch * self.copy_step * words,
-                                 dtype=np.uint64)
+                                _PASS_WORDS // words))
 
     def tasks(self, start: int):
         """(start, stop) ranges from start to the end of the space; each
-        stops on a batch boundary at least 2^16 counters on, or at the end."""
+        stops on a batch boundary at least 2^16 counters on, or at the end.
+
+        A batch is as many blocks as one temporary of _PASS_WORDS words
+        holds, at most 2^19 counters, and a task usually one batch."""
         unit = self.batch * self.block
         pos = start
         while pos < self.enum.total:
@@ -304,30 +348,46 @@ class _SplitScan:
 
     def first_missing(self, start: int, stop: int) -> Optional[int]:
         """Lowest counter in [start, stop) whose coloring has no zero-sum
-        copy, or None. ``stop`` is a multiple of the block length."""
-        block, words = self.block, self.words
+        copy, or None. ``stop`` is a multiple of the block length.
+
+        Each batch of blocks takes the copies in passes of doubling length,
+        and after each pass drops its blocks with every bit set. A pass
+        gathers at most _PASS_WORDS words, and at least _MIN_PASS_WORDS
+        unless the copies run out.
+        """
+        block, words, k = self.block, self.words, self.enum.k
+        ncopies = len(self.offsets)
         for b0 in range(start // block, stop // block, self.batch):
             nb = min(self.batch, stop // block - b0)
             high = self.enum.colors_block(b0 * block, nb, block)
-            # mask row of (copy, residue) = (copy, minus the high sum)
-            picks = ((-(high[:, :self.split] @ self.high)) % self.enum.k
-                     + self.offsets)
-            seen = np.tile(self.pad, (nb, 1))
+            high = high[:, :self.split]
+            live = np.arange(nb)  # the blocks with a bit still unset
+            seen = np.empty((nb, words), dtype=np.uint64)
+            seen[:] = self.pad
             if b0 * block < start:  # resuming inside this block
                 seen[0] |= _pack(np.arange(words * 64) < start - b0 * block)
-            for c0 in range(0, picks.shape[1], self.copy_step):
-                part = picks[:, c0:c0 + self.copy_step]
-                picked = self.gathered[:part.size * words].reshape(
-                    *part.shape, words)
-                np.take(self.masks, part, axis=0, out=picked, mode="clip")
-                seen |= np.bitwise_or.reduce(picked, axis=1)
+            c0 = step = 0
+            while c0 < ncopies:
+                row = live.size * words
+                step = max(1, min(max(2 * step, _MIN_PASS_WORDS // row),
+                                  _PASS_WORDS // row))
+                c1 = min(ncopies, c0 + step)
+                # mask row of (the copy's low edges, its high sum)
+                picks = (high @ self.high[:, c0:c1]) % k + self.offsets[c0:c1]
+                seen |= np.bitwise_or.reduce(self.masks[picks], axis=1)
+                c0 = c1
+                if c0 < ncopies:
+                    open_ = np.bitwise_and.reduce(seen, axis=1) != _FULL
+                    live, high, seen = live[open_], high[open_], seen[open_]
+                    if not live.size:
+                        break
             unseen = ~seen
             missing = np.flatnonzero(unseen)
             if missing.size:
                 b, w = divmod(int(missing[0]), words)
                 bits = int(unseen[b, w])
                 bit = (bits & -bits).bit_length() - 1
-                return (b0 + b) * block + 64 * w + bit
+                return (b0 + int(live[b])) * block + 64 * w + bit
         return None
 
 
@@ -383,7 +443,8 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
         # no injective placement exists; the all-zero coloring is a witness
         return ScanResult(False, 0, enum.coloring_at(0), 0, enum.total)
 
-    fingerprint = _fingerprint(g, order, k, enum.reduce)
+    fingerprint = (None if checkpoint is None
+                   else _fingerprint(g, order, k, enum.reduce))
     entries: dict[str, int] = {}
     if checkpoint is not None and os.path.exists(checkpoint):
         entries = _read_entries(checkpoint)

@@ -15,7 +15,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import ColoredClique, Forest, build_forest, is_bushy
+from .core import (ColoredClique, Forest, build_forest, check_modulus,
+                   is_bushy)
 
 SCHEME = "splitmix64-mod"
 
@@ -38,12 +39,9 @@ def random_coloring(order: int, modulus: int, seed: int) -> ColoredClique:
     """Z_modulus coloring of K_order under the splitmix64-mod scheme."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if modulus < 2:
-        raise ValueError(f"modulus must be >= 2, got {modulus}")
+    check_modulus(modulus)  # before drawing C(order, 2) colors
     stream = splitmix64(seed)
-    # int64, so that the constructor rejects a modulus whose colors int16
-    # cannot hold before it casts
-    mat = np.zeros((order, order), dtype=np.int64)
+    mat = np.zeros((order, order), dtype=np.int16)
     for u, v in combinations(range(order), 2):
         c = next(stream) % modulus
         mat[u, v] = c

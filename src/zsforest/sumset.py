@@ -11,8 +11,8 @@ Guaranteed lower bound: |A_1 + ... + A_n| >= min(p, sum |A_i| - n + 1).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
 
 from .core import Residue, ZeroSumError, require_prime
 
@@ -47,10 +47,16 @@ def iterated_sumset(sets: Iterable[Sequence[Residue]]) -> SumsetWitness:
     family is rejected outright since no modulus can be recovered from it.
 
     Raises:
+        TypeError: a summand is not a sequence (a set, say), so its choice
+            indices would have no order to refer to.
         EmptyInputSet: no sets at all, or a summand with no elements.
         MixedModulus: two summands disagree on the modulus.
     """
     seqs = list(sets)
+    for i, seq in enumerate(seqs):
+        if not isinstance(seq, Sequence):
+            raise TypeError(f"summand {i} must be a sequence, "
+                            f"got {type(seq).__name__}")
     if not seqs:
         raise EmptyInputSet("need at least one summand set")
     if any(len(s) == 0 for s in seqs):

@@ -3,6 +3,7 @@ determinism, and the documented command examples."""
 
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -275,11 +276,16 @@ def test_cli_input_errors(files, capsys):
                        "--clique", str(files / "k22.clique"))
     assert code == 2 and "divide" in err
 
-    # seed 2 draws a color of 35951, which int16 cannot hold: the modulus
-    # bound rejects the clique before any cast
-    code, out, err = run(capsys, "random", "--n", "3", "--p", "40000",
-                         "--seed", "2")
-    assert code == 2 and out == "" and err.startswith("error: modulus")
+
+def test_cli_random_rejects_the_modulus_before_drawing(capsys):
+    # colors up to 39999 would not fit the int16 matrix, and drawing the
+    # 1,999,000 colors of K_2000 takes seconds
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "random", "--n", "2000", "--p", "40000",
+                         "--seed", "1")
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out == ""
+    assert err == "error: modulus must be in [2, 32768], got 40000\n"
 
 
 def test_cli_sizes_that_cannot_be_allocated(files, capsys):

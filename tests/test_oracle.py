@@ -1,6 +1,8 @@
 """Exhaustive-engine tests: frozen small Ramsey values, cross-checks between
 the backtracker and the block scan, checkpointing, budgets, closed forms."""
 
+import hashlib
+import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
@@ -153,9 +155,12 @@ def test_scan_agrees_with_backtracker_everywhere():
             assert edge_sum(emb).value == 0
 
 
-def _reference_scan(g, order, k, reduce_symmetry, start=0):
+def _reference_scan(g, order, k, reduce_symmetry, start=0, stop=None):
     """(unavoidable, witness counter, colorings checked, witness digits)
-    from decoding every counter from start on and summing every copy."""
+    from decoding every counter from start on and summing every copy.
+
+    With ``stop``, only the counters below it are decoded, and one of them
+    must be a witness."""
     pairs = list(combinations(range(order), 2))
     index = {e: i for i, e in enumerate(pairs)}
     copies = {frozenset(index[tuple(sorted((phi[u], phi[v])))]
@@ -168,8 +173,8 @@ def _reference_scan(g, order, k, reduce_symmetry, start=0):
         prefixes = list(combinations_with_replacement(range(k), order - 1))
         low = m - (order - 1)
     total = len(prefixes) * k ** low
-    counters = np.arange(start, total)
-    digits = np.zeros((len(counters), m), dtype=np.int64)
+    counters = np.arange(start, total if stop is None else stop)
+    digits = np.zeros((len(counters), m), dtype=np.int16)
     rank, rest = np.divmod(counters, k ** low)
     for j in range(m - 1, m - low - 1, -1):
         rest, digits[:, j] = np.divmod(rest, k)
@@ -179,6 +184,7 @@ def _reference_scan(g, order, k, reduce_symmetry, start=0):
         hit |= digits[:, sorted(copy)].sum(axis=1) % k == 0
     missing = np.flatnonzero(~hit)
     if missing.size == 0:
+        assert stop is None, "no witness below stop"
         return True, None, total - start, None
     i = int(missing[0])
     return False, start + i, i + 1, digits[i]
@@ -228,21 +234,81 @@ def test_split_digit_scan_resumes_inside_a_block(tmp_path):
             _agrees(res, _reference_scan(g, 5, 3, reduce_symmetry, start), 5)
 
 
+def _tasks(g, order, k, reduce_symmetry, start=0):
+    scan = oracle._SplitScan(_Enumeration(order, k, reduce_symmetry),
+                             _subgraph_copies(g, order))
+    return list(scan.tasks(start))
+
+
 def test_split_digit_scan_with_two_jobs(tmp_path):
+    # each scan spans at least two tasks, so both workers get one.
     # K_{1,3} over Z_2 (odd edge count) is avoidable only by its last
-    # coloring, so the reduced K_7 scan runs through all of its tasks
+    # coloring, all ones, so the K_7 scan runs through all of its tasks
     claw = star(3)
-    res = scan_colorings(claw, 7, 2, reduce_symmetry=True, jobs=2)
-    _agrees(res, _reference_scan(claw, 7, 2, True), 7)
-    res = scan_colorings(path(3), 5, 3, jobs=2)
-    _agrees(res, _reference_scan(path(3), 5, 3, False), 5)
+    assert len(_tasks(claw, 7, 2, False)) >= 2
+    res = scan_colorings(claw, 7, 2, jobs=2)
+    _agrees(res, (False, 2 ** 21 - 1, 2 ** 21, [1] * 21), 7)
+    # the first witness of P_3 over Z_3, 619770, lies past the first task
+    tasks = _tasks(path(3), 6, 3, True)
+    assert len(tasks) >= 2 and tasks[0][1] <= 619_770
+    res = scan_colorings(path(3), 6, 3, reduce_symmetry=True, jobs=2)
+    _agrees(res, _reference_scan(path(3), 6, 3, True, stop=620_000), 6)
+    # R(2K_2, Z_2) = 5, so every coloring of K_7 has a zero-sum copy
     cp = str(tmp_path / "scan.ckpt")
-    scan_colorings(matching(2), 7, 2, reduce_symmetry=True, checkpoint=cp)
+    scan_colorings(matching(2), 7, 2, checkpoint=cp)
     [fp] = _read_entries(cp)
-    _write_entries(cp, {fp: 70001})
-    res = scan_colorings(matching(2), 7, 2, reduce_symmetry=True, jobs=2,
-                         checkpoint=cp)
-    _agrees(res, _reference_scan(matching(2), 7, 2, True, 70001), 7)
+    _write_entries(cp, {fp: 700_001})
+    assert len(_tasks(matching(2), 7, 2, False, 700_001)) >= 2
+    res = scan_colorings(matching(2), 7, 2, jobs=2, checkpoint=cp)
+    _agrees(res, (True, None, 2 ** 21 - 700_001, None), 7)
+
+
+def _scan_digest(budget):
+    """sha256 over every field of each ScanResult of a fixed corpus: seven
+    patterns over Z_2 to Z_5 at orders 2 to 8, plain and reduced, wherever
+    the space fits the budget."""
+    patterns = (("C4", C4), ("2K2", matching(2)), ("P3", path(3)),
+                ("P4", path(4)), ("P5", path(5)), ("K13", star(3)),
+                ("K14", star(4)))
+    h = hashlib.sha256()
+    scans = 0
+    for name, g in patterns:
+        for k in range(2, 6):
+            for order in range(2, 9):
+                for reduce_symmetry in (False, True):
+                    if _Enumeration(order, k, reduce_symmetry).total > budget:
+                        continue
+                    res = scan_colorings(g, order, k, budget,
+                                         reduce_symmetry=reduce_symmetry)
+                    witness = (None if res.witness is None
+                               else res.witness.matrix.astype("<i2").tobytes())
+                    h.update(repr((name, k, order, reduce_symmetry,
+                                   res.unavoidable, res.witness_counter,
+                                   res.colorings_checked,
+                                   res.enumerated_space, witness)).encode())
+                    scans += 1
+    return scans, h.hexdigest()
+
+
+def test_recorded_scan_digest():
+    # recorded from the scan that ORed every copy into every block; 266
+    # scans of up to 1.4e7 colorings, 6.1e7 colorings checked in all
+    assert _scan_digest(15_000_000) == (266, "d02a129d18685eb19e3af20b30f57fb3"
+                                             "a0797c6f346f6b70a23524cddfba9a5b")
+
+
+def test_scan_working_set_is_bounded():
+    # P_4 in K_6 over Z_3: 180 copies, 3^15 colorings. The scan that kept a
+    # 1 MB gather buffer peaked at about 2 MB here.
+    scan_colorings(path(4), 6, 3)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        res = scan_colorings(path(4), 6, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.unavoidable
+    assert peak < 1 << 20, peak
 
 
 def test_subgraph_copy_counts():

@@ -51,6 +51,15 @@ def test_errors():
         iterated_sumset([rs([0, 1], 4)])
 
 
+def test_summands_must_be_sequences():
+    # a set has no order for the choice indices to refer to
+    pair = {Residue(2, 3), Residue(0, 3)}
+    with pytest.raises(TypeError, match="summand 0 must be a sequence"):
+        iterated_sumset([pair, rs([1], 3)])
+    with pytest.raises(TypeError, match="summand 1 must be a sequence"):
+        iterated_sumset([rs([1], 3), pair])
+
+
 def test_duplicate_values_keep_first_index():
     w = iterated_sumset([[Residue(2, 5), Residue(2, 5), Residue(1, 5)]])
     assert w.choice[Residue(2, 5)] == (0,)
