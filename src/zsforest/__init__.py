@@ -5,9 +5,8 @@ Ramsey numbers at small scale. See the README for the guarantee thresholds.
 """
 
 from .classify import (ColorfulWitness, DominantPartition, NoDominantColor,
-                       SwitcherQuad, colorful_witness, dominant_partition,
-                       is_switcher, maximal_disjoint_switchers,
-                       vibrant_vertices)
+                       SwitcherQuad, dominant_partition,
+                       maximal_disjoint_switchers, vibrant_vertices)
 from .core import (ColoredClique, CyclicInput, DivisibilityViolation,
                    DuplicateEdge, Embedding, Forest, IndexOutOfRange,
                    InsufficientTriples, LeafFamilies, NotBushy,
@@ -22,7 +21,7 @@ from .embedder import (CaseReport, GreedyStuck, MonochromaticityViolated,
                        select_target_sets, verify_report)
 from .extremal import star_lower_bound_coloring
 from .fileio import (FileFormatError, clique_from_text, clique_to_text,
-                     forest_from_text, forest_to_text, graph_from_text,
+                     forest_from_text, graph_from_text,
                      report_from_text, report_to_text)
 from .oracle import (BudgetExceeded, CheckpointMismatch, RamseyResult,
                      brute_zero_sum, compute_ramsey, exact_z2, exact_z3)
@@ -41,13 +40,13 @@ __all__ = [
     "PreconditionFailed", "RamseyResult", "Residue",
     "SelectionExhausted", "SimpleGraph", "SumsetWitness", "SwitcherQuad",
     "TargetSets", "ZeroSumError", "brute_zero_sum", "build_forest",
-    "build_graph", "colorful_witness", "compute_ramsey",
+    "build_graph", "compute_ramsey",
     "clique_from_text", "clique_to_text",
     "dominant_partition", "edge_sum", "embed_bushy_nonvibrant",
     "embed_bushy_vibrant", "embed_nonbushy_nonswitchable",
     "embed_nonbushy_switchable", "exact_z2", "exact_z3", "find_zero_sum_copy",
-    "forest_from_text", "forest_to_text", "graph_from_text",
-    "is_bushy", "is_prime", "is_switcher", "iterated_sumset",
+    "forest_from_text", "graph_from_text",
+    "is_bushy", "is_prime", "iterated_sumset",
     "maximal_disjoint_switchers",
     "report_from_text", "report_to_text",
     "select_degree2_triples", "select_leaf_families", "select_target_sets",

@@ -4,9 +4,10 @@ The constructive cases are driven entirely by properties of the host
 coloring: which vertices see many colors (colorful/vibrant), whether many
 disjoint four-cycles can have their sum toggled (switchers), and how vertices
 cluster by their overwhelmingly most frequent color (dominant partition).
-Everything here is read-only analysis of a ColoredClique; scans are
-vectorized but must return exactly what the lexicographic sequential scan
-would.
+Colorfulness and dominance are both questions about one N x m table of
+color degrees, built by a single O(N^2 m) pass over the matrix. Everything
+here is read-only analysis of a ColoredClique; scans are vectorized but
+must return exactly what the lexicographic sequential scan would.
 """
 
 from __future__ import annotations
@@ -60,41 +61,40 @@ class DominantPartition:
     largest: Residue
 
 
-def _color_counts(k: ColoredClique, v: int) -> np.ndarray:
-    row = np.delete(k.matrix[v], v)
-    return np.bincount(row, minlength=k.modulus)
+def _color_degrees(k: ColoredClique) -> np.ndarray:
+    """(N, m) table whose entry [v, c] counts the edges at v with color c.
 
-
-def colorful_witness(k: ColoredClique, v: int, b: int
-                     ) -> Optional[ColorfulWitness]:
-    """Witness for the lowest color with b <= count <= order-b-1 at v."""
-    if b < 1:
-        raise ValueError(f"b must be >= 1, got {b}")
-    if not 0 <= v < k.order:
-        raise ValueError(f"vertex {v} not in K_{k.order}")
-    counts = _color_counts(k, v)
-    hi = k.order - b - 1
-    for c, cnt in enumerate(counts):
-        if b <= cnt <= hi:
-            return ColorfulWitness(vertex=v, color=Residue(c, k.modulus),
-                                   degree_in_color=int(cnt))
-    return None
+    One comparison pass over the matrix per color, O(N^2 m) in all; each
+    vertex's own diagonal entry, whatever its value, is no edge and is
+    taken off again. The largest temporary is one N x N boolean mask.
+    """
+    deg = np.empty((k.order, k.modulus), dtype=np.int64)
+    for c in range(k.modulus):
+        deg[:, c] = np.count_nonzero(k.matrix == c, axis=1)
+    deg[np.arange(k.order), np.diagonal(k.matrix)] -= 1
+    return deg
 
 
 def vibrant_vertices(k: ColoredClique, p: int) -> list[ColorfulWitness]:
     """Witnesses for every (3p-5)-colorful vertex, ascending.
 
-    The coloring is vibrant for p exactly when the list has >= p-1 entries.
+    Vertex v is b-colorful when some color's degree at v lies in
+    [b, order - b - 1]; its witness names the lowest such color. The
+    degrees come from one O(N^2 m) pass over the matrix, the table that
+    :func:`dominant_partition` reads too. The coloring is vibrant for p
+    exactly when the list has >= p-1 entries.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     b = 3 * p - 5
-    out = []
-    for v in range(k.order):
-        w = colorful_witness(k, v, b)
-        if w is not None:
-            out.append(w)
-    return out
+    deg = _color_degrees(k)
+    hit = (deg >= b) & (deg <= k.order - b - 1)
+    vs = np.flatnonzero(hit.any(axis=1))
+    cs = hit[vs].argmax(axis=1)
+    return [ColorfulWitness(vertex=v, color=Residue(c, k.modulus),
+                            degree_in_color=d)
+            for v, c, d in zip(vs.tolist(), cs.tolist(),
+                               deg[vs, cs].tolist())]
 
 
 def _quad_check(k: ColoredClique, quad: Sequence[int]
@@ -112,21 +112,6 @@ def _quad_check(k: ColoredClique, quad: Sequence[int]
     if (e2 + e3) % p != (e4 + e1) % p:
         return SwitcherQuad((d1, d2, d3, d4))
     return None
-
-
-def is_switcher(k: ColoredClique, quad: Sequence[int]
-                ) -> Optional[SwitcherQuad]:
-    """Test one cyclic order of four vertices; both consecutive pairings.
-
-    The returned quad is rotated so its own labeling satisfies the canonical
-    inequality chi(d4 d1) + chi(d1 d2) != chi(d2 d3) + chi(d3 d4).
-    """
-    if len(quad) != 4 or len(set(quad)) != 4:
-        raise ValueError(f"need 4 distinct vertices, got {tuple(quad)}")
-    for v in quad:
-        if not 0 <= v < k.order:
-            raise ValueError(f"vertex {v} not in K_{k.order}")
-    return _quad_check(k, quad)
 
 
 # the three cycle structures of a sorted 4-subset {a,b,c,d}
@@ -229,25 +214,30 @@ def dominant_partition(k_prime: ColoredClique, p: int) -> DominantPartition:
 
     A color r is dominant at v when at least order - (3p-4) of v's incident
     edges are colored r. Exactly one color must qualify at every vertex.
+    The degrees come from one O(N^2 m) pass over the matrix, the table
+    that :func:`vibrant_vertices` reads too; classes are listed in order of
+    their first vertex.
 
     Raises:
-        NoDominantColor: some vertex has zero or several qualifying colors.
+        NoDominantColor: some vertex has zero or several qualifying colors;
+            the first such vertex is named.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     threshold = k_prime.order - (3 * p - 4)
-    classes: dict[Residue, list[int]] = {}
-    for v in range(k_prime.order):
-        counts = _color_counts(k_prime, v)
-        qualifying = [c for c in range(k_prime.modulus)
-                      if counts[c] >= threshold]
-        if len(qualifying) != 1:
-            raise NoDominantColor(
-                v, f"vertex {v} has {len(qualifying)} colors at "
-                   f"count >= {threshold}")
-        classes.setdefault(Residue(qualifying[0], k_prime.modulus),
-                           []).append(v)
-    largest = min(classes, key=lambda r: (-len(classes[r]), r.value))
+    qualifies = _color_degrees(k_prime) >= threshold
+    counts = qualifies.sum(axis=1)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        v = int(bad[0])
+        raise NoDominantColor(
+            v, f"vertex {v} has {int(counts[v])} colors at "
+               f"count >= {threshold}")
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(qualifies.argmax(axis=1).tolist()):
+        classes.setdefault(c, []).append(v)
+    largest = min(classes, key=lambda c: (-len(classes[c]), c))
     return DominantPartition(
-        classes={r: tuple(vs) for r, vs in classes.items()},
-        largest=largest)
+        classes={Residue(c, k_prime.modulus): tuple(vs)
+                 for c, vs in classes.items()},
+        largest=Residue(largest, k_prime.modulus))

@@ -11,7 +11,7 @@ vertices at construction and remember how many were dropped.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -293,32 +293,6 @@ class ColoredClique:
         self.order = order
         self.modulus = modulus
         self.matrix = m
-
-    @classmethod
-    def from_pairs(cls, order: int, modulus: int,
-                   colors: Mapping[tuple[int, int], int]) -> "ColoredClique":
-        """Build from a total map over unordered vertex pairs.
-
-        Every pair {u,v} with u != v must appear exactly once (either order).
-        The count is checked before the matrix is allocated.
-        """
-        want = order * (order - 1) // 2
-        if len(colors) < want:
-            raise ValueError(
-                f"coloring not total: {len(colors)} of {want} pairs given")
-        # int64, so that the constructor range-checks a color that int16
-        # cannot hold before it casts
-        m = np.zeros((order, order), dtype=np.int64)
-        seen = set()
-        for (u, v), c in colors.items():
-            if not (0 <= u < order and 0 <= v < order) or u == v:
-                raise IndexOutOfRange(f"pair ({u},{v}) invalid for K_{order}")
-            e = _normalize_edge(u, v)
-            if e in seen:
-                raise DuplicateEdge(f"pair {e} colored twice")
-            seen.add(e)
-            m[u, v] = m[v, u] = c
-        return cls(order, modulus, m)
 
     def value(self, u: int, v: int) -> int:
         if u == v:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .core import (ColoredClique, Forest, SimpleGraph, ZeroSumError,
                    build_forest, build_graph)
 
@@ -99,13 +101,9 @@ def graph_from_text(text: str) -> SimpleGraph:
     return _graph_from_text(text, build_graph)
 
 
-def forest_to_text(f) -> str:
-    lines = [f"forest {f.n} {f.edge_count}"]
-    lines += [f"{u} {v}" for u, v in f.sorted_edges()]
-    return "\n".join(lines) + "\n"
-
-
 def clique_from_text(text: str) -> ColoredClique:
+    """Parse a clique file; each pair is range- and duplicate-checked once,
+    on its own line, and the pair count before the matrix is allocated."""
     lines = _logical_lines(text)
     order, p = _parse_edge_header(lines, "clique")
     pairs = {}
@@ -118,9 +116,18 @@ def clique_from_text(text: str) -> ColoredClique:
         if key in pairs:
             raise FileFormatError(f"line {no}: duplicate pair {u} {v}")
         pairs[key] = c
+    want = order * (order - 1) // 2
+    if len(pairs) != want:
+        raise FileFormatError(
+            f"coloring not total: {len(pairs)} of {want} pairs given")
     try:
-        return ColoredClique.from_pairs(order, p, pairs)
-    except (ZeroSumError, ValueError, OverflowError) as err:
+        # int64, so that the constructor range-checks a color that int16
+        # cannot hold before it casts
+        m = np.zeros((order, order), dtype=np.int64)
+        for (u, v), c in pairs.items():
+            m[u, v] = m[v, u] = c
+        return ColoredClique(order, p, m)
+    except (ValueError, OverflowError) as err:
         raise FileFormatError(str(err)) from err
 
 

@@ -1,7 +1,11 @@
-"""Classification tests: colorful witnesses, vibrancy, switcher detection
-with the canonical rotation, greedy disjoint packings with their maximality
-certificate, and dominant partitions."""
+"""Classification tests: colorful witnesses and dominant partitions, both
+read from one color-degree table and checked against a per-vertex Counter
+recount on random, near-one-colored, planted-dominant and nonzero-diagonal
+hosts, with the table's working set bounded at guarantee scale; the
+four-vertex switcher check with its canonical rotation; and greedy disjoint
+packings with their maximality certificate."""
 
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -10,10 +14,11 @@ import pytest
 
 from zsforest import ColoredClique, Residue
 from zsforest.classify import (ColorfulWitness, NoDominantColor, SwitcherQuad,
-                               _subset_switcher, colorful_witness,
-                               dominant_partition, is_switcher,
-                               maximal_disjoint_switchers, vibrant_vertices)
+                               _quad_check, _subset_switcher,
+                               dominant_partition, maximal_disjoint_switchers,
+                               vibrant_vertices)
 from zsforest.randomgen import random_coloring, splitmix64
+from zsforest.selftest import _near_mono_clique, _planted_dominant
 
 
 def mono(order, modulus, color=0):
@@ -22,11 +27,19 @@ def mono(order, modulus, color=0):
     return ColoredClique(order, modulus, m)
 
 
+def pair_clique(order, p, colors):
+    """K_order with colors[(u, v)] on each pair; unlisted entries are 0."""
+    m = np.zeros((order, order), dtype=np.int16)
+    for (u, v), c in colors.items():
+        m[u, v] = m[v, u] = c
+    return ColoredClique(order, p, m)
+
+
 def quad_clique(colors, p):
     """K_4 whose cycle 0-1-2-3-0 has the given consecutive edge colors;
     both diagonals get color 0."""
     e1, e2, e3, e4 = colors
-    return ColoredClique.from_pairs(4, p, {
+    return pair_clique(4, p, {
         (0, 1): e1, (1, 2): e2, (2, 3): e3, (3, 0): e4,
         (0, 2): 0, (1, 3): 0})
 
@@ -44,36 +57,35 @@ def canonical_inequality_holds(k, quad):
 # ---------------------------------------------------------------------------
 
 def test_colorful_witness_monochromatic_absent():
-    k = mono(10, 2)
-    for v in range(10):
-        assert colorful_witness(k, v, 1) is None
+    # the zero diagonal is no edge: counted, it would give color 0 degree
+    # 1 = b at every vertex of this color-1 clique
+    assert vibrant_vertices(mono(10, 2, color=1), 2) == []
 
 
 def test_colorful_witness_boundary():
-    # vertex 0 sees three 1s and six 2s; b=3 admits color 1 (3 <= 3 <= 6)
-    # and rejects color 2 only at the top end check (6 <= 6 passes), so the
-    # lowest qualifying color is 1
-    m = np.full((10, 10), 2, dtype=np.int16)
-    np.fill_diagonal(m, 0)
-    for u in (1, 2, 3):
-        m[0, u] = m[u, 0] = 1
-    k = ColoredClique(10, 3, m)
-    w = colorful_witness(k, 0, 3)
-    assert w == ColorfulWitness(0, Residue(1, 3), 3)
+    # p = 3 on K_10: a witness needs b = 4 <= degree <= 10 - 4 - 1 = 5 at
+    # vertex 0; every other vertex sees color 2 at least eight times
+    def star_at_0(colors):
+        m = np.full((10, 10), 2, dtype=np.int16)
+        np.fill_diagonal(m, 0)
+        for u, c in enumerate(colors, start=1):
+            m[0, u] = m[u, 0] = c
+        return ColoredClique(10, 3, m)
+
+    # four 1s sit on the lower end; five 2s also qualify, but 1 is lower
+    k = star_at_0([1] * 4 + [2] * 5)
+    assert vibrant_vertices(k, 3) == [ColorfulWitness(0, Residue(1, 3), 4)]
+    # three 1s fall short; five 2s sit on the upper end
+    k = star_at_0([1] * 3 + [0] + [2] * 5)
+    assert vibrant_vertices(k, 3) == [ColorfulWitness(0, Residue(2, 3), 5)]
+    # three 1s fall short and six 2s overshoot
+    assert vibrant_vertices(star_at_0([1] * 3 + [2] * 6), 3) == []
 
 
 def test_colorful_witness_small_clique_absent():
-    k = mono(4, 2)
-    for v in range(4):
-        assert colorful_witness(k, v, 2) is None
-
-
-def test_colorful_witness_rejects_bad_args():
-    k = mono(4, 2)
-    with pytest.raises(ValueError):
-        colorful_witness(k, 0, 0)
-    with pytest.raises(ValueError):
-        colorful_witness(k, 4, 1)
+    # at p = 3 a witness needs 4 <= degree <= N - 5, impossible below K_9
+    for seed in range(20):
+        assert vibrant_vertices(random_coloring(8, 3, seed), 3) == []
 
 
 def test_vibrant_vertices_monochromatic_empty():
@@ -90,23 +102,91 @@ def test_vibrant_vertices_single_off_color_edge():
     assert len(ws) >= 1  # vibrant for p=2
 
 
+def recount_witnesses(k, p):
+    """vibrant_vertices by a per-vertex Counter over the off-diagonal row."""
+    b = 3 * p - 5
+    out = []
+    for v in range(k.order):
+        hist = Counter(int(k.matrix[v, u]) for u in range(k.order) if u != v)
+        for c in range(k.modulus):
+            if b <= hist[c] <= k.order - b - 1:
+                out.append(ColorfulWitness(v, Residue(c, k.modulus), hist[c]))
+                break
+    return out
+
+
+def recount_partition(k, p):
+    """dominant_partition by a per-vertex Counter: the classes in order of
+    their first vertex and the largest, or the first vertex without a
+    unique dominant color and the message naming it."""
+    threshold = k.order - (3 * p - 4)
+    classes = {}
+    for v in range(k.order):
+        hist = Counter(int(k.matrix[v, u]) for u in range(k.order) if u != v)
+        good = [c for c in range(k.modulus) if hist[c] >= threshold]
+        if len(good) != 1:
+            return v, (f"vertex {v} has {len(good)} colors at count >= "
+                       f"{threshold}")
+        classes.setdefault(Residue(good[0], k.modulus), []).append(v)
+    largest = min(classes, key=lambda r: (-len(classes[r]), r.value))
+    return [(r, tuple(vs)) for r, vs in classes.items()], largest
+
+
 def test_vibrant_vertices_against_histogram_recount():
     k = random_coloring(22, 3, seed=2024)
-    b = 3 * 3 - 5
-    expect = []
-    for v in range(22):
-        hist = Counter(int(k.matrix[v, u]) for u in range(22) if u != v)
-        best = None
-        for c in range(3):
-            if b <= hist.get(c, 0) <= 22 - b - 1:
-                best = (v, c, hist[c])
-                break
-        if best is not None:
-            expect.append(best)
-    got = [(w.vertex, w.color.value, w.degree_in_color)
-           for w in vibrant_vertices(k, 3)]
-    assert got == expect
+    got = vibrant_vertices(k, 3)
+    assert got == recount_witnesses(k, 3)
     assert len(got) >= 2  # this seed is vibrant for p=3
+
+
+def table_host(kind, p, order, seed):
+    """A seeded K_order over Z_p of the named kind."""
+    if kind == "random":
+        return random_coloring(order, p, seed)
+    if kind == "near_mono":
+        return _near_mono_clique(order, p, seed)
+    if kind == "planted":
+        return _planted_dominant(p, order, splitmix64(seed))
+    # the same hosts with every diagonal entry, which is no edge, nonzero
+    base = table_host(("random", "planted")[seed % 2], p, order, seed)
+    m = base.matrix.copy()
+    np.fill_diagonal(m, 1 + (np.arange(order) + seed) % (p - 1))
+    return ColoredClique(order, p, m)
+
+
+@pytest.mark.parametrize("kind", ["random", "near_mono", "planted",
+                                  "diagonal"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_color_degree_table_against_counter_recount(p, kind):
+    for seed in range(12):
+        # for p >= 3 the orders start below 2b + 1, where no vertex can be
+        # colorful, and all p pass twice the dominance tolerance 3p - 4
+        order = max(6, 2 * (3 * p - 5) - 1) + seed * (p + 1) // 2
+        k = table_host(kind, p, order, 700 * p + seed)
+        got = vibrant_vertices(k, p)
+        assert got == recount_witnesses(k, p)
+        for w in got:  # Python ints, so reprs and hashes stay the same
+            assert type(w.vertex) is int is type(w.degree_in_color)
+        try:
+            part = dominant_partition(k, p)
+        except NoDominantColor as err:
+            assert (err.vertex, str(err)) == recount_partition(k, p)
+        else:
+            assert (list(part.classes.items()), part.largest) == \
+                recount_partition(k, p)
+
+
+def test_color_degree_table_working_set_is_bounded():
+    # K_1517 over Z_23, guarantee scale at p = 23: besides the 1517 x 23
+    # table only one N x N boolean mask (2.2 MiB) is live at a time
+    k = _near_mono_clique(1517, 23, seed=1)
+    tracemalloc.start()
+    try:
+        vibrant_vertices(k, 23)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -115,39 +195,29 @@ def test_vibrant_vertices_against_histogram_recount():
 
 def test_switcher_first_pairing_rotates():
     k = quad_clique((1, 0, 0, 0), 3)
-    got = is_switcher(k, (0, 1, 2, 3))
+    got = _quad_check(k, (0, 1, 2, 3))
     assert got == SwitcherQuad((1, 2, 3, 0))
     assert canonical_inequality_holds(k, got)
 
 
 def test_switcher_monochromatic_absent():
-    assert is_switcher(mono(4, 3), (0, 1, 2, 3)) is None
-    assert is_switcher(mono(6, 2), (5, 1, 4, 2)) is None
+    assert _quad_check(mono(4, 3), (0, 1, 2, 3)) is None
+    assert _quad_check(mono(6, 2), (5, 1, 4, 2)) is None
 
 
 def test_switcher_second_pairing_kept_as_given():
     # first pairing balances (1+2 = 0+0 mod 3), second does not (2+0 != 0+1)
     k = quad_clique((1, 2, 0, 0), 3)
-    got = is_switcher(k, (0, 1, 2, 3))
+    got = _quad_check(k, (0, 1, 2, 3))
     assert got == SwitcherQuad((0, 1, 2, 3))
     assert canonical_inequality_holds(k, got)
-
-
-def test_switcher_rejects_degenerate_quads():
-    k = mono(5, 2)
-    with pytest.raises(ValueError):
-        is_switcher(k, (0, 1, 2, 2))
-    with pytest.raises(ValueError):
-        is_switcher(k, (0, 1, 2))
-    with pytest.raises(ValueError):
-        is_switcher(k, (0, 1, 2, 5))
 
 
 def test_every_returned_quad_satisfies_canonical_inequality():
     for i in range(200):
         k = random_coloring(6, 2 + i % 4, seed=i)
         for quad in combinations(range(6), 4):
-            got = is_switcher(k, quad)
+            got = _quad_check(k, quad)
             if got is not None:
                 assert canonical_inequality_holds(k, got)
                 assert set(got.vertices) == set(quad)
@@ -284,7 +354,7 @@ def test_dominant_partition_five_one_split():
 
 
 def test_dominant_partition_tie_breaks_low():
-    k = ColoredClique.from_pairs(4, 2, {
+    k = pair_clique(4, 2, {
         (0, 1): 0, (0, 2): 1, (0, 3): 0,
         (1, 2): 0, (1, 3): 1, (2, 3): 1})
     part = dominant_partition(k, 2)
@@ -294,12 +364,21 @@ def test_dominant_partition_tie_breaks_low():
 
 
 def test_dominant_partition_balanced_vertex_fails():
-    k = ColoredClique.from_pairs(4, 3, {
+    # K_4 at p = 3: the threshold 4 - 5 admits every color
+    k = pair_clique(4, 3, {
         (0, 1): 0, (0, 2): 1, (0, 3): 2,
         (1, 2): 2, (1, 3): 1, (2, 3): 0})
     with pytest.raises(NoDominantColor) as err:
         dominant_partition(k, 3)
     assert err.value.vertex == 0
+    assert str(err.value) == "vertex 0 has 3 colors at count >= -1"
+    # K_6 at p = 2, threshold 4: vertices 0 and 1 keep four 0s, vertex 5
+    # sees three 0s and two 1s, so it is the first with no dominant color
+    k = pair_clique(6, 2, {(0, 5): 1, (1, 5): 1})
+    with pytest.raises(NoDominantColor) as err:
+        dominant_partition(k, 2)
+    assert err.value.vertex == 5
+    assert str(err.value) == "vertex 5 has 0 colors at count >= 4"
 
 
 def build_dominant_instance(order, p, seed):

@@ -115,25 +115,6 @@ def test_is_prime():
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
-def test_clique_from_pairs_must_be_total():
-    full = {(0, 1): 1, (0, 2): 0, (1, 2): 2}
-    c = ColoredClique.from_pairs(3, 3, full)
-    assert c.value(1, 0) == 1
-    assert c.value(2, 1) == 2
-    with pytest.raises(ValueError):
-        ColoredClique.from_pairs(3, 3, {(0, 1): 1})
-    # the count is checked before the matrix is allocated: an int64 matrix
-    # for K_{10^7} would need 728 TiB
-    with pytest.raises(ValueError, match="not total"):
-        ColoredClique.from_pairs(10_000_000, 3, {(0, 1): 1})
-    with pytest.raises(DuplicateEdge):
-        ColoredClique.from_pairs(3, 3, {**full, (2, 1): 0})
-    with pytest.raises(ValueError):
-        ColoredClique.from_pairs(3, 3, {(0, 1): 3, (0, 2): 0, (1, 2): 0})
-    with pytest.raises(IndexOutOfRange):
-        ColoredClique.from_pairs(3, 3, {(0, 0): 1, (0, 2): 0, (1, 2): 0})
-
-
 def test_clique_rejects_bad_matrices():
     m = np.zeros((3, 3), dtype=np.int16)
     m[0, 1] = 1  # asymmetric

@@ -13,8 +13,8 @@ from zsforest.cli import main
 from zsforest.fileio import (FileFormatError, clique_from_text,
                              clique_to_text, embedding_from_text,
                              embedding_to_text, forest_from_text,
-                             forest_to_text, graph_from_text,
-                             report_from_text, report_to_text)
+                             graph_from_text, report_from_text,
+                             report_to_text)
 from zsforest.patterns import matching, path, spider, star
 from zsforest.randomgen import random_coloring, random_forest
 
@@ -22,12 +22,24 @@ from zsforest.randomgen import random_coloring, random_forest
 # --- forest files ------------------------------------------------------------
 
 
+def forest_text(f):
+    """A forest file listing f's edges in sorted order."""
+    lines = [f"forest {f.n} {f.edge_count}"]
+    lines += [f"{u} {v}" for u, v in f.sorted_edges()]
+    return "\n".join(lines) + "\n"
+
+
 def test_forest_round_trip():
-    for f in (path(7), star(5), spider(2, 3, 4), matching(3)):
-        assert forest_from_text(forest_to_text(f)) == f
+    for text, f in (("forest 4 3\n0 1\n1 2\n2 3\n", path(4)),
+                    ("forest 4 3\n0 3\n0 1\n0 2\n", star(3)),
+                    ("forest 4 3\n2 3\n0 2\n0 1\n", spider(1, 2)),
+                    ("forest 4 2\n2 3\n0 1\n", matching(2))):
+        got = forest_from_text(text)
+        assert got == f
+        assert forest_from_text(forest_text(got)) == f
     for seed in range(25):
         f = random_forest(6 + seed % 7, 1 + seed % 3, seed)
-        assert forest_from_text(forest_to_text(f)) == f
+        assert forest_from_text(forest_text(f)) == f
 
 
 def test_forest_comments_and_blanks():
@@ -109,6 +121,7 @@ def test_clique_pairs_any_order():
     "clique 3 40000\n0 1 39999\n0 2 0\n1 2 0\n",  # modulus beyond int16
     "clique 3 2\n0 1 1\n0 3 0\n1 2 0\n",     # vertex out of range
     "clique 3 2\n0 0 1\n0 2 0\n1 2 0\n",     # loop
+    "clique 10000000 3\n0 1 1\n",  # not total; K_10^7 is never allocated
 ])
 def test_clique_rejects(text):
     with pytest.raises(FileFormatError):
@@ -149,8 +162,8 @@ def test_embedding_round_trip():
 
 @pytest.fixture
 def files(tmp_path):
-    (tmp_path / "p7.forest").write_text(forest_to_text(path(7)))
-    (tmp_path / "star3.forest").write_text(forest_to_text(star(3)))
+    (tmp_path / "p7.forest").write_text(forest_text(path(7)))
+    (tmp_path / "star3.forest").write_text(forest_text(star(3)))
     (tmp_path / "c4.forest").write_text("forest 4 4\n0 1\n0 3\n1 2\n2 3\n")
     (tmp_path / "k22.clique").write_text(
         clique_to_text(random_coloring(22, 3, 7)))
@@ -189,7 +202,7 @@ def test_cli_ramsey_example(files, capsys):
 
 
 def test_cli_ramsey_reduce_symmetry(files, capsys):
-    (files / "p4.forest").write_text(forest_to_text(path(4)))
+    (files / "p4.forest").write_text(forest_text(path(4)))
     for graph, k, value in (("c4.forest", "2", "4"), ("p4.forest", "3", "5")):
         argv = ("ramsey", "--graph", str(files / graph), "--k", k,
                 "--max-n", "6")
@@ -271,7 +284,7 @@ def test_cli_input_errors(files, capsys):
     assert code == 2 and "error:" in err
 
     # 3 does not divide e(P_3) = 2: ill-posed question
-    (files / "p3.forest").write_text(forest_to_text(path(3)))
+    (files / "p3.forest").write_text(forest_text(path(3)))
     code, _, err = run(capsys, "find", "--forest", str(files / "p3.forest"),
                        "--clique", str(files / "k22.clique"))
     assert code == 2 and "divide" in err
@@ -302,7 +315,7 @@ def test_cli_sizes_that_cannot_be_allocated(files, capsys):
 
 
 def test_cli_ramsey_limits(files, capsys):
-    (files / "m2.forest").write_text(forest_to_text(matching(2)))
+    (files / "m2.forest").write_text(forest_text(matching(2)))
     code, out, _ = run(capsys, "ramsey", "--graph", str(files / "m2.forest"),
                        "--k", "2", "--max-n", "4")
     assert code == 1

@@ -3,7 +3,9 @@ defines the same top-level function or class name twice (the later
 definition silently replaces the earlier one, so a test defined twice runs
 once), every top-level name of a package module is referenced somewhere
 in src/, tests/, bench/ or demos/, ``zsforest.__all__`` lists exactly
-the names the package ``__init__.py`` imports, and every name that
+the names the package ``__init__.py`` imports, every function it lists
+has a caller outside tests/ (a module of src/ other than ``__init__.py``,
+bench/ or demos/), and every name that
 bench/*.py imports from ``zsforest`` exists there, so a deletion under src/
 that would break the benchmark fails here first.
 
@@ -14,7 +16,10 @@ No linter is a project dependency, so these are small stdlib ``ast`` scans.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
+
+import zsforest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests")
@@ -169,6 +174,16 @@ def test_every_package_name_is_referenced():
                 for name, line in top_level_names(source)
                 if name not in used]
     assert not problems, "never referenced:\n" + "\n".join(problems)
+
+
+def test_every_public_function_has_a_program_caller():
+    used = set()
+    for _, source in _modules(True, ("src", "bench", "demos")):
+        used |= referenced_names(source)
+    problems = [name for name in zsforest.__all__
+                if inspect.isfunction(getattr(zsforest, name))
+                and name not in used]
+    assert not problems, "called only by tests: " + ", ".join(problems)
 
 
 def test_all_lists_exactly_the_reexports():
