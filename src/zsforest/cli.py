@@ -266,7 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--reduce-symmetry", action="store_true",
                    help="scan only colorings whose vertex-0 edges are "
                         "non-decreasing")
-    c.add_argument("--jobs", type=int, default=1)
+    c.add_argument("--jobs", type=int, default=1,
+                   help="worker processes for the scan, at most the CPU "
+                        "count")
     c.add_argument("--checkpoint")
     c.set_defaults(fn=cmd_ramsey)
 

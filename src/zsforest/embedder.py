@@ -2,9 +2,10 @@
 
 Every case returns a CaseReport whose embedding is zero-sum by construction
 and whose auxiliary certificate lets :func:`verify_report` recheck the whole
-argument from scratch. The dispatcher tries the cases in a fixed order
-(each one re-validates its own preconditions) and optionally falls back to
-the exhaustive backtracker.
+argument from scratch. The dispatcher classifies the instance once, hands
+that classification to each case in a fixed order, and optionally falls
+back to the exhaustive backtracker; a direct ``embed_*`` call classifies
+for itself.
 
 Case summary:
 
@@ -140,6 +141,13 @@ def _entry_checks(f: Forest, k: ColoredClique, p: int, context: str) -> None:
         raise ValueError(f"{context}: forest has no edges")
 
 
+def _alone(body, f: Forest, k: ColoredClique, p: int, context: str
+           ) -> CaseReport:
+    """Run one case body outside the dispatcher, classifying for it."""
+    _entry_checks(f, k, p, context)
+    return body(f, k, p, classify(f, k, p))
+
+
 def _report(c: Classification, case: str, emb: Embedding, aux: object
             ) -> CaseReport:
     return CaseReport(bushy=c.bushy, vibrant=c.vibrant,
@@ -247,15 +255,8 @@ def _require_one_colored_zero(f: Forest, color: int, p: int) -> None:
             f"{(color * f.edge_count) % p}, not 0")
 
 
-def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
-    """Anchor selected-leaf parents on colorful vertices and resolve each
-    selected leaf between its two reserved targets via the sumset walk.
-
-    Requires a bushy forest, at least p-1 colorful vertices, and a host of
-    order at least n + p - 1.
-    """
-    _entry_checks(f, k, p, "embed_bushy_vibrant")
-    c = classify(f, k, p)
+def _bushy_vibrant(f: Forest, k: ColoredClique, p: int, c: Classification
+                   ) -> CaseReport:
     if not c.bushy:
         raise PreconditionFailed(
             f"forest has {f.degree_count(1)} leaves, needs {2 * (p - 1)}")
@@ -274,6 +275,16 @@ def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
     cert = BushyVibrantCert(witnesses=c.witnesses[:len(fam.parents)],
                             families=fam, targets=targets, picks=picks)
     return _report(c, CASE_BUSHY_VIBRANT, emb, cert)
+
+
+def embed_bushy_vibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
+    """Anchor selected-leaf parents on colorful vertices and resolve each
+    selected leaf between its two reserved targets via the sumset walk.
+
+    Requires a bushy forest, at least p-1 colorful vertices, and a host of
+    order at least n + p - 1.
+    """
+    return _alone(_bushy_vibrant, f, k, p, "embed_bushy_vibrant")
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +326,8 @@ def _monochromatic_greedy(f: Forest, k: ColoredClique, hosts: Sequence[int],
     return mapping
 
 
-def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
-    """One-colored copy inside the largest dominant class.
-
-    Attempted whenever the class can hold the forest at all; guaranteed only
-    when it exceeds the forest order by the tolerance 3p-4, so a greedy jam
-    surfaces as GreedyStuck and sends the dispatcher onward.
-    """
-    _entry_checks(f, k, p, "embed_bushy_nonvibrant")
-    c = classify(f, k, p)
+def _bushy_nonvibrant(f: Forest, k: ColoredClique, p: int, c: Classification
+                      ) -> CaseReport:
     if c.vibrant:
         raise PreconditionFailed(
             f"coloring is vibrant for p={p}; this case needs the opposite")
@@ -349,21 +353,22 @@ def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
     return _report(c, CASE_BUSHY_NONVIBRANT, emb, cert)
 
 
+def embed_bushy_nonvibrant(f: Forest, k: ColoredClique, p: int) -> CaseReport:
+    """One-colored copy inside the largest dominant class.
+
+    Attempted whenever the class can hold the forest at all; guaranteed only
+    when it exceeds the forest order by the tolerance 3p-4, so a greedy jam
+    surfaces as GreedyStuck and sends the dispatcher onward.
+    """
+    return _alone(_bushy_nonvibrant, f, k, p, "embed_bushy_nonvibrant")
+
+
 # ---------------------------------------------------------------------------
 # switchable: degree-2 triples across switcher four-cycles
 # ---------------------------------------------------------------------------
 
-def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
-                              ) -> CaseReport:
-    """Pin p-1 degree-2 triples across disjoint switchers; each center picks
-    between two diagonal placements whose edge sums differ, and the sumset
-    walk steers the total to zero.
-
-    Requires p-1 disjoint degree-2 triples in the forest, p-1 disjoint
-    switchers in the coloring, and host order at least n + p - 1.
-    """
-    _entry_checks(f, k, p, "embed_nonbushy_switchable")
-    c = classify(f, k, p)
+def _nonbushy_switchable(f: Forest, k: ColoredClique, p: int,
+                         c: Classification) -> CaseReport:
     if k.order < f.n + (p - 1):
         raise PreconditionFailed(
             f"host order {k.order} below {f.n + p - 1}")
@@ -386,23 +391,24 @@ def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
     return _report(c, CASE_NONBUSHY_SWITCHABLE, emb, cert)
 
 
+def embed_nonbushy_switchable(f: Forest, k: ColoredClique, p: int
+                              ) -> CaseReport:
+    """Pin p-1 degree-2 triples across disjoint switchers; each center picks
+    between two diagonal placements whose edge sums differ, and the sumset
+    walk steers the total to zero.
+
+    Requires p-1 disjoint degree-2 triples in the forest, p-1 disjoint
+    switchers in the coloring, and host order at least n + p - 1.
+    """
+    return _alone(_nonbushy_switchable, f, k, p, "embed_nonbushy_switchable")
+
+
 # ---------------------------------------------------------------------------
 # non-switchable: strip short packings, use the one-colored remainder
 # ---------------------------------------------------------------------------
 
-def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
-                                 ) -> CaseReport:
-    """Remove a maximal switcher packing of size at most p-2; for odd p the
-    remaining clique is then necessarily one-colored and any placement in
-    it works.
-
-    The one-coloredness is scanned, not assumed. For odd p a violation
-    would contradict the maximality certificate and is logged as such; for
-    p = 2 switcher-free cut colorings exist and the scan simply rejects
-    them back to the dispatcher.
-    """
-    _entry_checks(f, k, p, "embed_nonbushy_nonswitchable")
-    c = classify(f, k, p)
+def _nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int,
+                            c: Classification) -> CaseReport:
     quads = c.switchers
     if c.switchable:
         raise PreconditionFailed(
@@ -438,18 +444,33 @@ def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
     return _report(c, CASE_NONBUSHY_NONSWITCHABLE, emb, cert)
 
 
+def embed_nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int
+                                 ) -> CaseReport:
+    """Remove a maximal switcher packing of size at most p-2; for odd p the
+    remaining clique is then necessarily one-colored and any placement in
+    it works.
+
+    The one-coloredness is scanned, not assumed. For odd p a violation
+    would contradict the maximality certificate and is logged as such; for
+    p = 2 switcher-free cut colorings exist and the scan simply rejects
+    them back to the dispatcher.
+    """
+    return _alone(_nonbushy_nonswitchable, f, k, p,
+                  "embed_nonbushy_nonswitchable")
+
+
 # ---------------------------------------------------------------------------
 # dispatch
 # ---------------------------------------------------------------------------
 
-_CASE_ORDER = (embed_bushy_vibrant, embed_bushy_nonvibrant,
-               embed_nonbushy_switchable, embed_nonbushy_nonswitchable)
+_CASE_ORDER = (_bushy_vibrant, _bushy_nonvibrant, _nonbushy_switchable,
+               _nonbushy_nonswitchable)
 
 
 def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
                        allow_fallback: bool = True) -> CaseReport:
-    """Try the four constructive cases in fixed order; optionally fall back
-    to exhaustive search.
+    """Classify once, then try the four constructive cases in fixed order on
+    that classification; optionally fall back to exhaustive search.
 
     At guarantee scale (n >= 3p^2 - 12p + 11 and host order >= n + 9p - 12)
     one of the four cases succeeds and the fallback is never consulted.
@@ -467,15 +488,15 @@ def find_zero_sum_copy(f: Forest, k: ColoredClique, p: int,
     if k.order < f.n:
         raise NoZeroSumCopy(
             f"host K_{k.order} cannot contain a forest on {f.n} vertices")
+    c = classify(f, k, p)
     for case in _CASE_ORDER:
         try:
-            return case(f, k, p)
+            return case(f, k, p, c)
         except PreconditionFailed:
             continue
     if allow_fallback:
         emb = brute_zero_sum(f, k, p)
         if emb is not None:
-            c = classify(f, k, p)
             return _report(c, CASE_FALLBACK, emb, None)
         raise NoZeroSumCopy("exhaustive search found no zero-sum copy")
     raise NoZeroSumCopy(

@@ -43,8 +43,10 @@ about 0.2 s.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Optional
 
@@ -205,21 +207,26 @@ class _Enumeration:
         self.m = order * (order - 1) // 2
         if reduce_symmetry and order >= 2:
             d = order - 1  # vertex 0's edges come first in lex order
-            self.prefixes = np.array(
-                list(combinations_with_replacement(range(k), d)),
-                dtype=np.int16)
             self.suffix_len = self.m - d
             self.suffix_size = k ** self.suffix_len
-            self.total = len(self.prefixes) * self.suffix_size
+            # one prefix per multiset of d colors
+            self.total = math.comb(k + d - 1, d) * self.suffix_size
         else:
             self.reduce = False
-            self.prefixes = None
             self.suffix_len = self.m
             self.suffix_size = k ** self.m
             self.total = self.suffix_size
         # place value of each suffix digit, the last edge's being 1
         self.powers = k ** np.arange(self.suffix_len - 1, -1, -1,
                                      dtype=np.int64)
+
+    @cached_property
+    def prefixes(self) -> np.ndarray:
+        """Vertex 0's non-decreasing color lists in lex order, one row per
+        prefix of the reduced space; listed on first use, so a space over
+        the budget never lists them."""
+        return np.array(list(combinations_with_replacement(
+            range(self.k), self.order - 1)), dtype=np.int16)
 
     def colors_block(self, start: int, count: int, step: int = 1
                      ) -> np.ndarray:
@@ -419,9 +426,11 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
                    checkpoint: Optional[str] = None) -> ScanResult:
     """Decide whether every Z_k coloring of K_order has a zero-sum copy of g.
 
-    Counterexamples are reported at their lowest counter regardless of the
-    jobs setting: sharded tasks are consumed in submission order and the
-    scan stops at the first task containing a witness.
+    With jobs > 1 the scan is sharded over min(jobs, os.cpu_count())
+    worker processes. Counterexamples are reported at their lowest counter
+    regardless of the jobs setting: sharded tasks are consumed in
+    submission order and the scan stops at the first task containing a
+    witness.
 
     A checkpoint file holds one entry per order, so scans of successive
     orders (as :func:`compute_ramsey` runs them) can share one file. Each
@@ -475,6 +484,7 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
         return False
 
     scan = _SplitScan(enum, _subgraph_copies(g, order))
+    jobs = min(jobs, os.cpu_count() or 1)  # the scan is CPU-bound
     if jobs <= 1:
         for task_start, stop in scan.tasks(start):
             if consume(task_start, stop,

@@ -14,7 +14,7 @@ from zsforest import (DivisibilityViolation, InsufficientTriples,
                       maximal_disjoint_switchers, select_leaf_families,
                       star_lower_bound_coloring, verify_report,
                       vibrant_vertices)
-from zsforest import selftest
+from zsforest import embedder, selftest
 from zsforest.classify import ColorfulWitness
 from zsforest.core import ColoredClique
 from zsforest.embedder import (CASE_BUSHY_NONVIBRANT, CASE_BUSHY_VIBRANT,
@@ -449,6 +449,44 @@ def test_dispatch_equals_first_public_engine():
                      (3, CASE_NONBUSHY_SWITCHABLE), (5, CASE_BUSHY_VIBRANT),
                      (5, CASE_BUSHY_NONVIBRANT),
                      (5, CASE_NONBUSHY_SWITCHABLE)}
+
+
+def test_classify_runs_once_per_find(monkeypatch):
+    """The dispatcher classifies once and hands the result to every case it
+    tries, the fallback included; a direct engine call classifies once for
+    itself."""
+    calls = []
+    for name in ("classify", "_entry_checks"):
+        def counted(*args, real=getattr(embedder, name), name=name):
+            calls.append(name)
+            return real(*args)
+        monkeypatch.setattr(embedder, name, counted)
+    # vertices 0 and 1 are colorful and every switcher meets one of them,
+    # so the host is vibrant but not switchable
+    vibrant_only = clique_with(12, 3, {(a, j): 1 for a in (0, 1)
+                                       for j in range(2, 6)})
+    fallback = list(_finder_vs_oracle_instances(4))[3]
+    finds = ((random_tree(26, seed=1), random_coloring(59, 5, 0), 5,
+              CASE_BUSHY_VIBRANT),
+             (path(26), _near_mono_clique(59, 5, 0), 5,
+              CASE_BUSHY_NONVIBRANT),
+             # one classification per engine tried would be three here
+             (path(26), random_coloring(59, 5, 0), 5,
+              CASE_NONBUSHY_SWITCHABLE),
+             (path(7), vibrant_only, 3, CASE_NONBUSHY_NONSWITCHABLE),
+             fallback + (CASE_FALLBACK,))
+    for f, k, p, case in finds:
+        calls.clear()
+        assert find_zero_sum_copy(f, k, p).case_used == case
+        assert calls == ["_entry_checks", "classify"], case
+    for engine, (f, k, p, _) in zip(PUBLIC_ORDER, finds):
+        calls.clear()
+        assert verify_report(engine(f, k, p))
+        assert calls == ["_entry_checks", "classify"], engine.__name__
+    calls.clear()
+    with pytest.raises(PreconditionFailed):
+        embed_bushy_vibrant(path(7), vibrant_only, 3)
+    assert calls == ["_entry_checks", "classify"]
 
 
 # sha256 of the outcomes below, recorded from the finder as it stood when

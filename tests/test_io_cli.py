@@ -326,6 +326,14 @@ def test_cli_ramsey_limits(files, capsys):
     assert code == 3
     assert dict(report_from_text(out))["limit"] == "budget"
 
+    # C(23, 12) vertex-0 prefixes: refused by size, before any is listed
+    (files / "star12.forest").write_text(forest_text(star(12)))
+    code, out, _ = run(capsys, "ramsey", "--graph",
+                       str(files / "star12.forest"), "--k", "12",
+                       "--max-n", "20", "--reduce-symmetry")
+    assert code == 3
+    assert dict(report_from_text(out))["limit"] == "budget"
+
 
 def test_cli_random_determinism(capsys):
     code, first, _ = run(capsys, "random", "--n", "8", "--p", "3",

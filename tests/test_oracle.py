@@ -2,6 +2,9 @@
 the backtracker and the block scan, checkpointing, budgets, closed forms."""
 
 import hashlib
+import math
+import multiprocessing
+import os
 import tracemalloc
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -311,6 +314,29 @@ def test_scan_working_set_is_bounded():
     assert peak < 1 << 20, peak
 
 
+def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
+    sizes = []
+    real_pool = multiprocessing.Pool
+
+    def recording_pool(processes, *args, **kwargs):
+        sizes.append(processes)  # but never start more than two
+        return real_pool(min(processes, 2), *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    for order in (4, 5):  # a witness at K_4, none at K_5
+        many = scan_colorings(path(4), order, 3, jobs=64)
+        one = scan_colorings(path(4), order, 3, jobs=1)
+        assert (many.unavoidable, many.witness_counter,
+                many.colorings_checked, many.enumerated_space) == (
+            one.unavoidable, one.witness_counter, one.colorings_checked,
+            one.enumerated_space)
+    assert sizes == [2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: no pool
+    assert scan_colorings(path(4), 5, 3, jobs=64).unavoidable
+    assert sizes == [2, 2]
+
+
 def test_subgraph_copy_counts():
     # distinct edge sets: 3 perfect matchings and 3 four-cycles in K_4,
     # 12 paths on 4 vertices
@@ -330,6 +356,28 @@ def test_budget_refuses_oversized_spaces():
     r = compute_ramsey(matching(2), 2, 8, budget=100)
     assert r.value is None
     assert r.limit == "budget"
+
+
+def test_reduced_budget_is_checked_before_listing_prefixes():
+    # the size of the reduced space is counted, not listed
+    for k in range(2, 6):
+        for order in range(2, 8):
+            enum = _Enumeration(order, k, True)
+            assert enum.total == len(enum.prefixes) * enum.suffix_size
+    # K_{1,12} over Z_12 at K_13 has C(23, 12) = 1.35e6 vertex-0 prefixes,
+    # and listing them took 275 MB; P_4 over Z_200 at K_4 has 1.35e6 too
+    tracemalloc.start()
+    try:
+        r = compute_ramsey(star(12), 12, 20, reduce_symmetry=True)
+        with pytest.raises(BudgetExceeded):
+            scan_colorings(path(4), 4, 200, budget=1000,
+                           reduce_symmetry=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (r.value, r.limit) == (None, "budget")
+    assert _Enumeration(13, 12, True).total == math.comb(23, 12) * 12 ** 66
+    assert peak < 1 << 20, peak
 
 
 def test_max_n_limit_keeps_last_witness():
