@@ -5,7 +5,7 @@ coloring: which vertices see many colors (colorful/vibrant), whether many
 disjoint four-cycles can have their sum toggled (switchers), and how vertices
 cluster by their overwhelmingly most frequent color (dominant partition).
 Colorfulness and dominance are both questions about one N x m table of
-color degrees, built by a single O(N^2 m) pass over the matrix. Everything
+color degrees, built by one O(N^2 + N m) count over the matrix. Everything
 here is read-only analysis of a ColoredClique; scans are vectorized but
 must return exactly what the lexicographic sequential scan would.
 """
@@ -64,14 +64,21 @@ class DominantPartition:
 def _color_degrees(k: ColoredClique) -> np.ndarray:
     """(N, m) table whose entry [v, c] counts the edges at v with color c.
 
-    One comparison pass over the matrix per color, O(N^2 m) in all; each
-    vertex's own diagonal entry, whatever its value, is no edge and is
-    taken off again. The largest temporary is one N x N boolean mask.
+    One bincount per pass over a band of rows, cell (v, w) counted at
+    v·m + its color, O(N^2 + N m) in all; each vertex's own diagonal
+    entry, whatever its value, is no edge and is taken off again. Beside
+    the table, one band's int64 positions (at most 2^17 of them, 1 MiB,
+    unless one row is longer) and its counts are live at a time.
     """
-    deg = np.empty((k.order, k.modulus), dtype=np.int64)
-    for c in range(k.modulus):
-        deg[:, c] = np.count_nonzero(k.matrix == c, axis=1)
-    deg[np.arange(k.order), np.diagonal(k.matrix)] -= 1
+    n, m = k.order, k.modulus
+    deg = np.empty((n, m), dtype=np.int64)
+    band = max(1, (1 << 17) // n)
+    for v0 in range(0, n, band):
+        rows = k.matrix[v0:v0 + band]
+        cells = np.arange(len(rows))[:, None] * m + rows
+        deg[v0:v0 + band] = np.bincount(
+            cells.ravel(), minlength=len(rows) * m).reshape(-1, m)
+    deg[np.arange(n), np.diagonal(k.matrix)] -= 1
     return deg
 
 
@@ -80,9 +87,9 @@ def vibrant_vertices(k: ColoredClique, p: int) -> list[ColorfulWitness]:
 
     Vertex v is b-colorful when some color's degree at v lies in
     [b, order - b - 1]; its witness names the lowest such color. The
-    degrees come from one O(N^2 m) pass over the matrix, the table that
-    :func:`dominant_partition` reads too. The coloring is vibrant for p
-    exactly when the list has >= p-1 entries.
+    degrees come from one O(N^2 + N m) count over the matrix, the table
+    that :func:`dominant_partition` reads too. The coloring is vibrant for
+    p exactly when the list has >= p-1 entries.
     """
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
@@ -214,9 +221,9 @@ def dominant_partition(k_prime: ColoredClique, p: int) -> DominantPartition:
 
     A color r is dominant at v when at least order - (3p-4) of v's incident
     edges are colored r. Exactly one color must qualify at every vertex.
-    The degrees come from one O(N^2 m) pass over the matrix, the table
-    that :func:`vibrant_vertices` reads too; classes are listed in order of
-    their first vertex.
+    The degrees come from one O(N^2 + N m) count over the matrix, the
+    table that :func:`vibrant_vertices` reads too; classes are listed in
+    order of their first vertex.
 
     Raises:
         NoDominantColor: some vertex has zero or several qualifying colors;

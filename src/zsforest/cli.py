@@ -267,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="scan only colorings whose vertex-0 edges are "
                         "non-decreasing")
     c.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the scan, at most the CPU "
-                        "count")
+                   help="worker processes for the scan, at least 1 and at "
+                        "most the CPU count")
     c.add_argument("--checkpoint")
     c.set_defaults(fn=cmd_ramsey)
 

@@ -22,22 +22,29 @@ and a fingerprint of the enumeration (pattern, modulus, reduction mode,
 order).
 
 Cost of a scan over m = C(N,2) edges with C distinct copies of the pattern.
-The check splits the counter at its L low digits, L about m/2 (at most the
-suffix length under the reduction, and k^L <= 2^16). Once per scan it
-builds k bitmasks of k^L bits for each distinct set of low edges among the
-copies, marking the low-digit rows where minus their sum is each residue;
-each set's masks are an AND/OR convolution of one bitmask per (low digit,
-value). An aligned block of k^L counters then needs the OR, over copies,
-of the mask its high sum selects, but only until all of its bits are set:
-a batch of blocks takes the copies in passes of doubling length, fewest
-low edges first, and drops each block as soon as it is full. So a block
-costs k^L/64 word operations for each copy up to the one that fills it,
-not for all C: P_4 in K_6 over Z_3 has 180 copies, and a block is full
-after 3.8 of them on average (median 2, worst 83). No temporary holds
-more than 2^13 words (64 KB), and nothing is done per coloring in Python.
-On a 2-vCPU shared VM, that P_4 scan (3^15 colorings) takes about 7 ms,
-and the reduced scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420 copies)
-about 0.2 s.
+The copies are listed with array operations, nothing per placement in
+Python: the distinct edge sets of the pattern's n! labelings on K_n form
+one table, one fancy index maps it onto every n-subset of K_N, and one
+lexsort orders the rows. The check splits the counter at its L low digits,
+L about m/2 (at most the suffix length under the reduction, and k^L <=
+2^16). Once per scan it builds k bitmasks of k^L bits for each distinct
+set of low edges among the copies, marking the low-digit rows where minus
+their sum is each residue; each set's masks are an AND/OR convolution of
+one bitmask per (low digit, value). Low digit j holds each value for
+k^(L-1-j) rows in turn, so each of those bitmasks is one strided fill of
+a bool row and one pack, with no division. On a 2-vCPU shared VM, P_4 in
+K_6 over Z_3 lists its copies in 0.06 ms and builds its masks in 0.5 ms.
+
+An aligned block of k^L counters then needs the OR, over copies, of the
+mask its high sum selects, but only until all of its bits are set: a
+batch of blocks takes the copies in passes of doubling length, fewest low
+edges first, and drops each block as soon as it is full. So a block costs
+k^L/64 word operations for each copy up to the one that fills it, not for
+all C: P_4 in K_6 over Z_3 has 180 copies, and a block is full after 3.8
+of them on average (median 2, worst 83). No temporary holds more than
+2^13 words (64 KB), and nothing is done per coloring in Python. On the
+same VM, that P_4 scan (3^15 colorings) takes 6 to 9 ms, and the reduced
+scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420 copies) about 0.12 s.
 """
 
 from __future__ import annotations
@@ -75,6 +82,18 @@ def _as_pattern(g) -> SimpleGraph:
     if isinstance(g, SimpleGraph):
         return g
     raise TypeError(f"expected a SimpleGraph, got {type(g).__name__}")
+
+
+def _scan_args(g, k: int, jobs: int) -> SimpleGraph:
+    """The pattern of a scan, once the scan's arguments are checked."""
+    g = _as_pattern(g)
+    if k < 2:
+        raise ValueError(f"modulus must be >= 2, got {k}")
+    if g.edge_count == 0:
+        raise ValueError("pattern has no edges")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +158,44 @@ def brute_zero_sum(g: SimpleGraph, host: ColoredClique,
 # full enumeration of colorings
 # ---------------------------------------------------------------------------
 
-def _edge_list(order: int) -> list[tuple[int, int]]:
-    return list(combinations(range(order), 2))
+def _edge_index(a, b, order: int):
+    """Lex index of the K_order edge (a, b), a < b: a(2·order - a - 1)/2
+    edges start below a, and b - a - 1 of a's own edges come before it."""
+    return a * (2 * order - a - 3) // 2 + b - 1
+
+
+def _lex_sorted(rows: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array in lexicographic order."""
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def _subgraph_copies(g: SimpleGraph, order: int) -> np.ndarray:
-    """Distinct edge-index sets of all copies of g inside K_order.
+    """Distinct edge-index sets of all copies of g inside K_order: one
+    sorted row per copy, rows in lexicographic order.
 
-    Copies with identical edge sets (automorphic images) are deduplicated;
-    the sum over a copy depends only on its edge set.
+    Copies with identical edge sets (automorphic images) are one row; the
+    sum over a copy depends only on its edge set. The distinct edge sets of
+    g's n! labelings on K_n are listed once, and every n-subset of K_order
+    maps that table onto its own edges with one fancy index. An ascending
+    subset maps K_n's edge order onto K_order's, so the rows stay sorted.
+    g has no isolated vertices, so a copy's vertices are its subset, and
+    copies from different subsets never coincide. The table takes n! rows
+    of work; the mapping, a few arrays no larger than the output.
     """
-    pairs = _edge_list(order)
-    index = {e: i for i, e in enumerate(pairs)}
-    edges = g.sorted_edges()
-    seen = set()
-    out = []
-    for combo in combinations(range(order), g.n):
-        for perm in permutations(combo):
-            key = frozenset(
-                index[(perm[u], perm[v])] if perm[u] < perm[v]
-                else index[(perm[v], perm[u])]
-                for u, v in edges)
-            if key not in seen:
-                seen.add(key)
-                out.append(sorted(key))
-    out.sort()
-    return np.array(out, dtype=np.int64)
+    n = g.n
+    u, v = np.array(g.sorted_edges()).T
+    perms = np.fromiter(permutations(range(n)), dtype=(np.int64, n),
+                        count=math.factorial(n))
+    a, b = perms[:, u], perms[:, v]
+    rows = _lex_sorted(np.sort(
+        _edge_index(np.minimum(a, b), np.maximum(a, b), n), axis=1))
+    table = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    subsets = np.fromiter(combinations(range(order), n), dtype=(np.int64, n),
+                          count=math.comb(order, n))
+    a, b = np.array(list(combinations(range(n), 2))).T  # K_n's edges
+    # column i: the edge of K_order that K_n's edge i becomes in each subset
+    image = _edge_index(subsets[:, a], subsets[:, b], order)
+    return _lex_sorted(image[:, table].reshape(-1, g.edge_count))
 
 
 def _fingerprint(g: SimpleGraph, order: int, k: int,
@@ -243,12 +274,10 @@ class _Enumeration:
         return out
 
     def coloring_at(self, counter: int) -> ColoredClique:
-        rows = [[0] * self.order for _ in range(self.order)]
-        for (u, v), c in zip(_edge_list(self.order),
-                             self.colors_block(counter, 1)[0].tolist()):
-            rows[u][v] = rows[v][u] = c
-        return ColoredClique(self.order, self.k,
-                             np.array(rows, dtype=np.int16))
+        matrix = np.zeros((self.order, self.order), dtype=np.int16)
+        u, v = np.triu_indices(self.order, 1)  # the edges in lex order
+        matrix[u, v] = matrix[v, u] = self.colors_block(counter, 1)[0]
+        return ColoredClique(self.order, self.k, matrix)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -299,26 +328,28 @@ class _SplitScan:
         sets = np.array(keys)
 
         # bitmask of (low digit, r): the rows where minus that digit is r.
-        # The last digit is always 0 and stands in for a copy's high edges;
-        # the rows past the end of a block get k, so no mask has them.
-        digit_masks = np.empty((low + 1, k, words), dtype=np.uint64)
-        places = enum.powers[enum.suffix_len - low:, None]
-        residues = np.arange(k)
-        # words of rows per pass, so that neither the int64 digits nor
-        # their comparison with each residue exceeds _PASS_WORDS words
-        span = max(1, _PASS_WORDS // (8 * (low + 1) * max(k, 8)))
-        for w0 in range(0, words, span):
-            rows = np.arange(64 * w0, 64 * min(words, w0 + span))
-            digits = np.zeros((low + 1, len(rows)), dtype=np.int64)
-            digits[:low] = -(rows // places) % k
-            digits[:, max(0, self.block - 64 * w0):] = k
-            digit_masks[..., w0:w0 + span] = _pack(
-                digits[:, None] == residues[:, None])
+        # Digit j holds each value for k^(low-1-j) rows in turn, so the
+        # rows where it is c are column c of the block viewed as
+        # (k^low / (k·k^(low-1-j)), k, k^(low-1-j)); one residue at a time
+        # keeps the bools within _PASS_WORDS words. The last digit is
+        # always 0 and stands in for a copy's high edges. No mask has the
+        # rows past the end of a block.
+        digit_masks = np.zeros((low + 1, k, words), dtype=np.uint64)
+        bits = np.zeros(64 * words, dtype=bool)
+        bits[:self.block] = True
+        digit_masks[low, 0] = _pack(bits)
+        for j in range(low):
+            cycles = bits[:self.block].reshape(-1, k, k ** (low - 1 - j))
+            for c in range(k):
+                bits[:] = False
+                cycles[:, c] = True
+                digit_masks[j, -c % k] = _pack(bits)
         # set so that the rows past the end of a block never look missing
         self.pad = ~digit_masks[low, 0]
         # residue s of a sum of two terms: the OR over r of (first term is
         # s - r) AND (second term is r); a negative index s - r counts
         # from the end, so it picks residue s - r + k
+        residues = np.arange(k)
         shift = residues[:, None] - residues
         edges = sets.shape[1]
         masks = np.empty((len(sets), k, words), dtype=np.uint64)
@@ -427,10 +458,10 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
     """Decide whether every Z_k coloring of K_order has a zero-sum copy of g.
 
     With jobs > 1 the scan is sharded over min(jobs, os.cpu_count())
-    worker processes. Counterexamples are reported at their lowest counter
-    regardless of the jobs setting: sharded tasks are consumed in
-    submission order and the scan stops at the first task containing a
-    witness.
+    worker processes; jobs below 1 raise ValueError. Counterexamples are
+    reported at their lowest counter regardless of the jobs setting:
+    sharded tasks are consumed in submission order and the scan stops at
+    the first task containing a witness.
 
     A checkpoint file holds one entry per order, so scans of successive
     orders (as :func:`compute_ramsey` runs them) can share one file. Each
@@ -438,11 +469,7 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
     resumes from its order's entry, and raises CheckpointMismatch on an
     entry written for another pattern, modulus or reduction mode.
     """
-    g = _as_pattern(g)
-    if k < 2:
-        raise ValueError(f"modulus must be >= 2, got {k}")
-    if g.edge_count == 0:
-        raise ValueError("pattern has no edges")
+    g = _scan_args(g, k, jobs)
     enum = _Enumeration(order, k, reduce_symmetry)
     if enum.total > budget:
         raise BudgetExceeded(
@@ -530,11 +557,7 @@ def compute_ramsey(g: SimpleGraph, k: int, max_n: int,
     found yields value None with limit "budget"; exhausting max_n yields
     limit "max_n".
     """
-    g = _as_pattern(g)
-    if k < 2:
-        raise ValueError(f"modulus must be >= 2, got {k}")
-    if g.edge_count == 0:
-        raise ValueError("pattern has no edges")
+    g = _scan_args(g, k, jobs)
     if g.edge_count % k != 0:
         raise DivisibilityViolation(
             f"{k} does not divide edge count {g.edge_count}")

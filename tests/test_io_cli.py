@@ -366,6 +366,15 @@ def test_cli_ramsey_jobs_and_checkpoint(files, capsys):
     assert dict(report_from_text(out))["value"] == "4"
 
 
+def test_cli_ramsey_rejects_jobs_below_one(files, capsys):
+    for jobs in ("0", "-3"):
+        code, out, err = run(capsys, "ramsey",
+                             "--graph", str(files / "c4.forest"),
+                             "--k", "2", "--max-n", "6", "--jobs", jobs)
+        assert code == 2 and out == ""
+        assert err == f"error: jobs must be >= 1, got {jobs}\n"
+
+
 def test_cli_selftest_single(capsys):
     code = main(["selftest", "--only", "1"])
     out = capsys.readouterr().out

@@ -158,18 +158,23 @@ def test_scan_agrees_with_backtracker_everywhere():
             assert edge_sum(emb).value == 0
 
 
+def _placements(g, order):
+    """The edge-index set of every injective placement of g in K_order,
+    as a set of frozensets."""
+    index = {e: i for i, e in enumerate(combinations(range(order), 2))}
+    return {frozenset(index[tuple(sorted((phi[u], phi[v])))]
+                      for u, v in g.edges)
+            for phi in permutations(range(order), g.n)}
+
+
 def _reference_scan(g, order, k, reduce_symmetry, start=0, stop=None):
     """(unavoidable, witness counter, colorings checked, witness digits)
     from decoding every counter from start on and summing every copy.
 
     With ``stop``, only the counters below it are decoded, and one of them
     must be a witness."""
-    pairs = list(combinations(range(order), 2))
-    index = {e: i for i, e in enumerate(pairs)}
-    copies = {frozenset(index[tuple(sorted((phi[u], phi[v])))]
-                        for u, v in g.edges)
-              for phi in permutations(range(order), g.n)}
-    m = len(pairs)
+    copies = _placements(g, order)
+    m = order * (order - 1) // 2
     prefixes = [()]
     low = m
     if reduce_symmetry:
@@ -335,6 +340,41 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: no pool
     assert scan_colorings(path(4), 5, 3, jobs=64).unavoidable
     assert sizes == [2, 2]
+
+
+def test_subgraph_copies_match_every_placement():
+    pendant = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+    cases = [(g, order)
+             for g in (matching(2), path(3), path(4), path(5), star(3), C4,
+                       pendant)
+             for order in range(g.n, g.n + 4)]
+    for g, order in cases + [(path(7), 8)]:
+        want = np.array(sorted(sorted(c) for c in _placements(g, order)),
+                        dtype=np.int64)
+        got = _subgraph_copies(g, order)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), order
+        assert np.array_equal(got, want), (sorted(g.edges), order)
+
+
+@pytest.mark.parametrize("g, order, k, reduce_symmetry", [
+    (path(4), 6, 3, False), (matching(2), 7, 2, False),
+    (star(3), 5, 3, True)], ids=["P4-K6-Z3", "2K2-K7-Z2", "K13-K5-Z3-reduced"])
+def test_digit_masks_decode_the_low_digits(g, order, k, reduce_symmetry):
+    copies = _subgraph_copies(g, order)
+    scan = oracle._SplitScan(_Enumeration(order, k, reduce_symmetry), copies)
+    low = order * (order - 1) // 2 - scan.split
+    rows = np.arange(scan.block)
+    digits = rows[:, None] // k ** np.arange(low - 1, -1, -1) % k
+    # the scan takes the copies fewest low edges first, in a stable order
+    ranked = np.argsort((copies >= scan.split).sum(axis=1), kind="stable")
+    assert len(scan.masks) == scan.offsets.max() + k
+    for offset, copy in zip(scan.offsets, copies[ranked]):
+        minus = -digits[:, copy[copy >= scan.split] - scan.split].sum(axis=1)
+        for r in range(k):
+            bits = np.unpackbits(scan.masks[offset + r].astype("<u8")
+                                 .view(np.uint8), bitorder="little")
+            assert not bits[scan.block:].any()  # pad rows
+            assert np.array_equal(bits[:scan.block] == 1, minus % k == r)
 
 
 def test_subgraph_copy_counts():
