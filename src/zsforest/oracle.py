@@ -26,25 +26,31 @@ The copies are listed with array operations, nothing per placement in
 Python: the distinct edge sets of the pattern's n! labelings on K_n form
 one table, one fancy index maps it onto every n-subset of K_N, and one
 lexsort orders the rows. The check splits the counter at its L low digits,
-L about m/2 (at most the suffix length under the reduction, and k^L <=
-2^16). Once per scan it builds k bitmasks of k^L bits for each distinct
-set of low edges among the copies, marking the low-digit rows where minus
-their sum is each residue; each set's masks are an AND/OR convolution of
-one bitmask per (low digit, value). Low digit j holds each value for
-k^(L-1-j) rows in turn, so each of those bitmasks is one strided fill of
-a bool row and one pack, with no division. On a 2-vCPU shared VM, P_4 in
-K_6 over Z_3 lists its copies in 0.06 ms and builds its masks in 0.5 ms.
+L about m/2 and at most the suffix length under the reduction. Once per
+scan it builds k bitmasks of k^L bits for each distinct set of low edges
+among the copies, marking the low-digit rows where minus their sum is
+each residue; each set's masks are an AND/OR convolution of one bitmask
+per (low digit, value). Low digit j holds each value for k^(L-1-j) rows in
+turn, so each of those bitmasks is one strided fill of a bool row and one
+pack, with no division. L is lowered until the two largest temporaries of
+that set-up fit in 2^13 words: one residue's bools over a block, k^L
+bytes, and one set's k² gathered masks, k²·k^L/64 words; so k^L ·
+max(k², 8) <= 2^19. On a 2-vCPU shared VM, P_4 in K_6 over Z_3 lists its
+copies in 0.06 ms and builds its masks in 0.5 ms.
 
 An aligned block of k^L counters then needs the OR, over copies, of the
 mask its high sum selects, but only until all of its bits are set: a
-batch of blocks takes the copies in passes of doubling length, fewest low
-edges first, and drops each block as soon as it is full. So a block costs
-k^L/64 word operations for each copy up to the one that fills it, not for
-all C: P_4 in K_6 over Z_3 has 180 copies, and a block is full after 3.8
-of them on average (median 2, worst 83). No temporary holds more than
-2^13 words (64 KB), and nothing is done per coloring in Python. On the
-same VM, that P_4 scan (3^15 colorings) takes 6 to 9 ms, and the reduced
-scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420 copies) about 0.12 s.
+batch of blocks, as many as 2^13 words hold, takes the copies in passes
+of doubling length, fewest low edges first, and drops each block as soon
+as it is full. A task, the unit of sharding and of checkpoint writes, is
+the rest of one batch. So a block costs k^L/64 word operations for each
+copy up to the one that fills it, not for all C: P_4 in K_6 over Z_3 has
+180 copies, and a block is full after 3.8 of them on average (median 2,
+worst 83). No gathered or set-up temporary holds more than 2^13 words
+(64 KB); the digits of a batch's block starts take a few values per edge
+and block. Nothing is done per coloring in Python. On the same VM, that
+P_4 scan (3^15 colorings) takes 6 to 9 ms, and the reduced scan of P_4 in
+K_7 over Z_3 (4.0e8 colorings, 420 copies) about 0.12 s.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations
@@ -60,11 +67,9 @@ from typing import Optional
 import numpy as np
 
 from .core import (ColoredClique, DivisibilityViolation, Embedding, Forest,
-                   SimpleGraph, ZeroSumError)
+                   SimpleGraph, ZeroSumError, check_modulus)
 
 DEFAULT_BUDGET = 20_000_000
-_TASK_COLORINGS = 1 << 16  # least colorings per task, so per checkpoint write
-_MAX_BLOCK = 1 << 16  # most low-digit rows per block
 _PASS_WORDS = 1 << 13  # most 64-bit words in one temporary, 64 KB
 _MIN_PASS_WORDS = 1 << 12  # a shorter pass costs more in calls than in work
 _FULL = np.uint64(2 ** 64 - 1)
@@ -87,8 +92,7 @@ def _as_pattern(g) -> SimpleGraph:
 def _scan_args(g, k: int, jobs: int) -> SimpleGraph:
     """The pattern of a scan, once the scan's arguments are checked."""
     g = _as_pattern(g)
-    if k < 2:
-        raise ValueError(f"modulus must be >= 2, got {k}")
+    check_modulus(k)  # colors are int16
     if g.edge_count == 0:
         raise ValueError("pattern has no edges")
     if jobs < 1:
@@ -300,12 +304,19 @@ class _SplitScan:
     the copies after that cost it nothing. The copies with the fewest low
     edges come first, because one with none fills its block when its high
     sum is 0; OR does not depend on the order.
+
+    _PASS_WORDS sizes everything: L is about m/2, lowered until the set-up's
+    temporaries fit in that many words, a batch is as many blocks as fit in
+    it, and a task is the rest of one batch.
     """
 
     def __init__(self, enum: _Enumeration, copies: np.ndarray):
         k, m = enum.k, enum.m
+        # the set-up's two largest temporaries, one residue's bools over a
+        # block (k^L bytes) and one set's k² gathered masks (k²·k^L/64
+        # words), stay within _PASS_WORDS words
         low = min((m + 1) // 2, enum.suffix_len)
-        while k ** low > _MAX_BLOCK:
+        while low and k ** low * max(k * k, 8) > 64 * _PASS_WORDS:
             low -= 1
         self.enum = enum
         self.split = split = m - low  # number of high digits
@@ -314,7 +325,9 @@ class _SplitScan:
         order = np.argsort((copies >= split).sum(axis=1), kind="stable")
         copies = copies[order]
         ncopies = len(copies)
-        incidence = np.zeros((m, ncopies), dtype=np.int16)
+        # a copy's high sum, up to split·(k - 1), must not wrap around
+        incidence = np.zeros((m, ncopies), dtype=np.int16
+                             if split * (k - 1) < 1 << 15 else np.int32)
         incidence[copies, np.arange(ncopies)[:, None]] = 1
         self.high = incidence[:split]
         # copies with the same low edges share their masks; in a copy's
@@ -348,9 +361,10 @@ class _SplitScan:
         self.pad = ~digit_masks[low, 0]
         # residue s of a sum of two terms: the OR over r of (first term is
         # s - r) AND (second term is r); a negative index s - r counts
-        # from the end, so it picks residue s - r + k
-        residues = np.arange(k)
-        shift = residues[:, None] - residues
+        # from the end, so it picks residue s - r + k. Only a set with two
+        # low edges has a second term, so only L >= 2 needs the table.
+        if low >= 2:
+            shift = np.subtract.outer(np.arange(k), np.arange(k))
         edges = sets.shape[1]
         masks = np.empty((len(sets), k, words), dtype=np.uint64)
         step = max(1, _PASS_WORDS // (k * k * words))
@@ -371,62 +385,62 @@ class _SplitScan:
                                 _PASS_WORDS // words))
 
     def tasks(self, start: int):
-        """(start, stop) ranges from start to the end of the space; each
-        stops on a batch boundary at least 2^16 counters on, or at the end.
+        """(start, stop) ranges that run from start to the end of the space,
+        each the rest of one batch: it stops at the next multiple of
+        batch · block, or at the end.
 
         A batch is as many blocks as one temporary of _PASS_WORDS words
-        holds, at most 2^19 counters, and a task usually one batch."""
+        holds, at most 2^19 counters; each task is one checkpoint write."""
         unit = self.batch * self.block
         pos = start
         while pos < self.enum.total:
-            stop = min(self.enum.total,
-                       -(-(pos + _TASK_COLORINGS) // unit) * unit)
+            stop = min(self.enum.total, (pos // unit + 1) * unit)
             yield pos, stop
             pos = stop
 
     def first_missing(self, start: int, stop: int) -> Optional[int]:
         """Lowest counter in [start, stop) whose coloring has no zero-sum
-        copy, or None. ``stop`` is a multiple of the block length.
+        copy, or None. The range is a task: it lies inside one batch, and
+        ``stop`` is a multiple of the block length.
 
-        Each batch of blocks takes the copies in passes of doubling length,
-        and after each pass drops its blocks with every bit set. A pass
+        The batch's blocks take the copies in passes of doubling length,
+        and after each pass drop the blocks with every bit set. A pass
         gathers at most _PASS_WORDS words, and at least _MIN_PASS_WORDS
         unless the copies run out.
         """
         block, words, k = self.block, self.words, self.enum.k
         ncopies = len(self.offsets)
-        for b0 in range(start // block, stop // block, self.batch):
-            nb = min(self.batch, stop // block - b0)
-            high = self.enum.colors_block(b0 * block, nb, block)
-            high = high[:, :self.split]
-            live = np.arange(nb)  # the blocks with a bit still unset
-            seen = np.empty((nb, words), dtype=np.uint64)
-            seen[:] = self.pad
-            if b0 * block < start:  # resuming inside this block
-                seen[0] |= _pack(np.arange(words * 64) < start - b0 * block)
-            c0 = step = 0
-            while c0 < ncopies:
-                row = live.size * words
-                step = max(1, min(max(2 * step, _MIN_PASS_WORDS // row),
-                                  _PASS_WORDS // row))
-                c1 = min(ncopies, c0 + step)
-                # mask row of (the copy's low edges, its high sum)
-                picks = (high @ self.high[:, c0:c1]) % k + self.offsets[c0:c1]
-                seen |= np.bitwise_or.reduce(self.masks[picks], axis=1)
-                c0 = c1
-                if c0 < ncopies:
-                    open_ = np.bitwise_and.reduce(seen, axis=1) != _FULL
-                    live, high, seen = live[open_], high[open_], seen[open_]
-                    if not live.size:
-                        break
-            unseen = ~seen
-            missing = np.flatnonzero(unseen)
-            if missing.size:
-                b, w = divmod(int(missing[0]), words)
-                bits = int(unseen[b, w])
-                bit = (bits & -bits).bit_length() - 1
-                return (b0 + int(live[b])) * block + 64 * w + bit
-        return None
+        b0 = start // block
+        nb = stop // block - b0
+        high = self.enum.colors_block(b0 * block, nb, block)[:, :self.split]
+        live = np.arange(nb)  # the blocks with a bit still unset
+        seen = np.empty((nb, words), dtype=np.uint64)
+        seen[:] = self.pad
+        if b0 * block < start:  # resuming inside this block
+            seen[0] |= _pack(np.arange(words * 64) < start - b0 * block)
+        c0 = step = 0
+        while c0 < ncopies:
+            row = live.size * words
+            step = max(1, min(max(2 * step, _MIN_PASS_WORDS // row),
+                              _PASS_WORDS // row))
+            c1 = min(ncopies, c0 + step)
+            # mask row of (the copy's low edges, its high sum)
+            picks = (high @ self.high[:, c0:c1]) % k + self.offsets[c0:c1]
+            seen |= np.bitwise_or.reduce(self.masks[picks], axis=1)
+            c0 = c1
+            if c0 < ncopies:
+                open_ = np.bitwise_and.reduce(seen, axis=1) != _FULL
+                live, high, seen = live[open_], high[open_], seen[open_]
+                if not live.size:
+                    return None
+        unseen = ~seen
+        missing = np.flatnonzero(unseen)
+        if not missing.size:
+            return None
+        b, w = divmod(int(missing[0]), words)
+        bits = int(unseen[b, w])
+        bit = (bits & -bits).bit_length() - 1
+        return (b0 + int(live[b])) * block + 64 * w + bit
 
 
 # worker state for sharded scans (populated per process by the initializer)
@@ -471,6 +485,7 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
     """
     g = _scan_args(g, k, jobs)
     enum = _Enumeration(order, k, reduce_symmetry)
+    budget = min(budget, np.iinfo(np.int64).max)  # counters are int64
     if enum.total > budget:
         raise BudgetExceeded(
             f"{enum.total} colorings at order {order} exceed budget {budget}")
@@ -495,37 +510,29 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
             entries[fingerprint] = counter
             _write_entries(checkpoint, entries)
 
-    checked = 0
-    witness_counter: Optional[int] = None
-
-    def consume(task_start: int, stop: int, found: Optional[int]) -> bool:
-        """Advance the frontier; True means stop (witness found)."""
-        nonlocal checked, witness_counter
-        if found is not None:
-            checked += found - task_start + 1
-            witness_counter = found
-            save(found)
-            return True
-        checked += stop - task_start
-        save(stop)
-        return False
-
     scan = _SplitScan(enum, _subgraph_copies(g, order))
     jobs = min(jobs, os.cpu_count() or 1)  # the scan is CPU-bound
     if jobs <= 1:
-        for task_start, stop in scan.tasks(start):
-            if consume(task_start, stop,
-                       scan.first_missing(task_start, stop)):
-                break
+        pool = nullcontext()
+        results = ((task_start, stop, scan.first_missing(task_start, stop))
+                   for task_start, stop in scan.tasks(start))
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs, initializer=_init_worker,
-                                  initargs=(scan,)) as pool:
-            for result in pool.imap(_run_task, scan.tasks(start)):
-                if consume(*result):
-                    pool.terminate()
-                    break
+        pool = multiprocessing.Pool(jobs, initializer=_init_worker,
+                                    initargs=(scan,))
+        results = pool.imap(_run_task, scan.tasks(start))
+    checked = 0
+    witness_counter: Optional[int] = None
+    with pool:  # leaving it terminates the workers, also after a witness
+        for task_start, stop, found in results:
+            if found is not None:
+                checked += found - task_start + 1
+                witness_counter = found
+                save(found)
+                break
+            checked += stop - task_start
+            save(stop)
 
     if witness_counter is None:
         save(enum.total)

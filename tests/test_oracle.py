@@ -167,12 +167,10 @@ def _placements(g, order):
             for phi in permutations(range(order), g.n)}
 
 
-def _reference_scan(g, order, k, reduce_symmetry, start=0, stop=None):
-    """(unavoidable, witness counter, colorings checked, witness digits)
-    from decoding every counter from start on and summing every copy.
-
-    With ``stop``, only the counters below it are decoded, and one of them
-    must be a witness."""
+def _reference_hits(g, order, k, reduce_symmetry, start=0, stop=None):
+    """(digits, hit) for the counters from start to stop (by default the end
+    of the space): each one's color digits decoded by division, and whether
+    summing every copy over them finds a zero-sum one."""
     copies = _placements(g, order)
     m = order * (order - 1) // 2
     prefixes = [()]
@@ -190,10 +188,20 @@ def _reference_scan(g, order, k, reduce_symmetry, start=0, stop=None):
     hit = np.zeros(len(counters), dtype=bool)
     for copy in copies:
         hit |= digits[:, sorted(copy)].sum(axis=1) % k == 0
+    return digits, hit
+
+
+def _reference_scan(g, order, k, reduce_symmetry, start=0, stop=None):
+    """(unavoidable, witness counter, colorings checked, witness digits)
+    from decoding every counter from start on and summing every copy.
+
+    With ``stop``, only the counters below it are decoded, and one of them
+    must be a witness."""
+    digits, hit = _reference_hits(g, order, k, reduce_symmetry, start, stop)
     missing = np.flatnonzero(~hit)
     if missing.size == 0:
         assert stop is None, "no witness below stop"
-        return True, None, total - start, None
+        return True, None, len(hit), None
     i = int(missing[0])
     return False, start + i, i + 1, digits[i]
 
@@ -248,7 +256,8 @@ def _tasks(g, order, k, reduce_symmetry, start=0):
     return list(scan.tasks(start))
 
 
-def test_split_digit_scan_with_two_jobs(tmp_path):
+def test_split_digit_scan_with_two_jobs(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so jobs=2 starts a pool
     # each scan spans at least two tasks, so both workers get one.
     # K_{1,3} over Z_2 (odd edge count) is avoidable only by its last
     # coloring, all ones, so the K_7 scan runs through all of its tasks
@@ -256,19 +265,54 @@ def test_split_digit_scan_with_two_jobs(tmp_path):
     assert len(_tasks(claw, 7, 2, False)) >= 2
     res = scan_colorings(claw, 7, 2, jobs=2)
     _agrees(res, (False, 2 ** 21 - 1, 2 ** 21, [1] * 21), 7)
-    # the first witness of P_3 over Z_3, 619770, lies past the first task
+    # one and two jobs give the same result and leave the same checkpoint.
+    # The first witness of reduced P_3 over Z_3 at K_6, 619770, lies past
+    # the first task; R(2K_2, Z_2) = 5, so every coloring of K_7 has a
+    # zero-sum copy, and that scan resumes at 700001
     tasks = _tasks(path(3), 6, 3, True)
     assert len(tasks) >= 2 and tasks[0][1] <= 619_770
-    res = scan_colorings(path(3), 6, 3, reduce_symmetry=True, jobs=2)
-    _agrees(res, _reference_scan(path(3), 6, 3, True, stop=620_000), 6)
-    # R(2K_2, Z_2) = 5, so every coloring of K_7 has a zero-sum copy
-    cp = str(tmp_path / "scan.ckpt")
-    scan_colorings(matching(2), 7, 2, checkpoint=cp)
-    [fp] = _read_entries(cp)
-    _write_entries(cp, {fp: 700_001})
     assert len(_tasks(matching(2), 7, 2, False, 700_001)) >= 2
-    res = scan_colorings(matching(2), 7, 2, jobs=2, checkpoint=cp)
-    _agrees(res, (True, None, 2 ** 21 - 700_001, None), 7)
+    for i, (g, order, k, reduce_symmetry, resume, ref) in enumerate((
+            (path(3), 6, 3, True, 0,
+             _reference_scan(path(3), 6, 3, True, stop=620_000)),
+            (matching(2), 7, 2, False, 700_001,
+             (True, None, 2 ** 21 - 700_001, None)))):
+        files = []
+        for jobs in (1, 2):
+            cp = tmp_path / f"scan{i}-{jobs}.ckpt"
+            _write_entries(str(cp), {oracle._fingerprint(
+                g, order, k, reduce_symmetry): resume})
+            res = scan_colorings(g, order, k, reduce_symmetry=reduce_symmetry,
+                                 jobs=jobs, checkpoint=str(cp))
+            _agrees(res, ref, order)
+            files.append(cp.read_bytes())
+        assert files[0] == files[1]
+
+
+@pytest.mark.parametrize("g, order, k, reduce_symmetry", [
+    (path(3), 3, 80, False), (path(3), 6, 3, True)],
+    ids=["P3-K3-Z80", "P3-K6-Z3-reduced"])
+def test_tasks_tile_the_space(g, order, k, reduce_symmetry):
+    # both spaces hold more than one batch: 80-counter blocks in batches of
+    # 4096, and 3^8-counter blocks in batches of 79
+    scan = oracle._SplitScan(_Enumeration(order, k, reduce_symmetry),
+                             _subgraph_copies(g, order))
+    unit, total = scan.batch * scan.block, scan.enum.total
+    assert 1 < scan.block < unit < total
+    hit = np.concatenate([
+        _reference_hits(g, order, k, reduce_symmetry, a,
+                        min(a + unit, total))[1]
+        for a in range(0, total, unit)])
+    for start in (0, scan.block + scan.block // 2, unit - 1):
+        tasks = list(scan.tasks(start))
+        bounds = [a for a, _ in tasks] + [tasks[-1][1]]
+        assert bounds[0] == start and bounds[-1] == total
+        assert [b for _, b in tasks] == bounds[1:]  # contiguous
+        for a, b in tasks:
+            assert a < b and a // unit == (b - 1) // unit  # one window
+            missing = np.flatnonzero(~hit[a:b])
+            want = a + int(missing[0]) if missing.size else None
+            assert scan.first_missing(a, b) == want, (start, a, b)
 
 
 def _scan_digest(budget):
@@ -316,6 +360,23 @@ def test_scan_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert res.unavoidable
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("g, order, k, witness", [
+    (path(2), 2, 2048, 1), (path(3), 3, 64, 65), (path(3), 3, 128, 129)],
+    ids=["K2-K2-Z2048", "P3-K3-Z64", "P3-K3-Z128"])
+def test_scan_working_set_is_bounded_at_large_moduli(g, order, k, witness):
+    # a set-up that built a k × k shift table and gathered k² masks of a
+    # whole block per set peaked at 34, 4.4 and 66 MiB here
+    scan_colorings(g, order, k)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        res = scan_colorings(g, order, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.witness_counter == witness
     assert peak < 1 << 20, peak
 
 
@@ -418,6 +479,41 @@ def test_reduced_budget_is_checked_before_listing_prefixes():
     assert (r.value, r.limit) == (None, "budget")
     assert _Enumeration(13, 12, True).total == math.comb(23, 12) * 12 ** 66
     assert peak < 1 << 20, peak
+
+
+def test_spaces_past_int64_counters_exceed_any_budget(tmp_path):
+    # 2^63 colorings or more cannot be named by int64 counters: K_12 over
+    # Z_2 has 2^66, reduced K_13 over Z_2 13 · 2^66, K_7 over Z_8 2^63
+    cp = tmp_path / "scan.ckpt"
+    cp.write_text("not a checkpoint\n")  # refused before it is read
+    for order, k, reduce_symmetry in ((12, 2, False), (13, 2, True),
+                                      (7, 8, False)):
+        for checkpoint in (None, str(cp)):
+            with pytest.raises(BudgetExceeded):
+                scan_colorings(path(3), order, k, budget=2 ** 70,
+                               reduce_symmetry=reduce_symmetry,
+                               checkpoint=checkpoint)
+    r = compute_ramsey(matching(6), 2, 14, budget=2 ** 70)
+    assert (r.value, r.limit, r.colorings_checked) == (None, "budget", 0)
+
+
+def test_high_sums_do_not_wrap_at_large_moduli(tmp_path):
+    # K_3 over Z_32767 in three high digits: colors 32766, 32766, 2 sum to
+    # 2 · 32767, which int16 sums wrap to -2, a false witness
+    k = 32767
+    triangle = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    cp = str(tmp_path / "scan.ckpt")
+    start = ((k - 1) * k + k - 1) * k + 2
+    _write_entries(cp, {oracle._fingerprint(triangle, 3, k, False): start})
+    res = scan_colorings(triangle, 3, k, budget=k ** 3, checkpoint=cp)
+    assert res.witness_counter == start + 1  # 32766 + 32766 + 3 = 2k + 1
+    iu = np.triu_indices(3, 1)
+    assert list(res.witness.matrix[iu]) == [k - 1, k - 1, 3]
+    # colors are int16, so larger moduli are refused up front
+    with pytest.raises(ValueError, match="modulus must be in"):
+        scan_colorings(path(2), 2, 2 ** 15 + 1)
+    with pytest.raises(ValueError, match="modulus must be in"):
+        compute_ramsey(path(2), 40_000, 3)
 
 
 def test_max_n_limit_keeps_last_witness():
