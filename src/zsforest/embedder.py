@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -614,6 +614,21 @@ def _canonical_switcher_holds(k: ColoredClique, quad: SwitcherQuad) -> bool:
     return left != right
 
 
+def _packed_vertices(k: ColoredClique,
+                     quads: tuple[SwitcherQuad, ...]) -> Optional[set[int]]:
+    """The vertices of a certified switcher packing, or None unless each
+    quad has four distinct vertices, no two quads meet, and each quad
+    meets the canonical inequality."""
+    packed: set[int] = set()
+    for quad in quads:
+        verts = set(quad.vertices)
+        if (len(verts) != 4 or verts & packed
+                or not _canonical_switcher_holds(k, quad)):
+            return None
+        packed |= verts
+    return packed
+
+
 def _verify_switcher(r: CaseReport) -> bool:
     f = r.embedding.pattern
     k = r.embedding.host
@@ -622,8 +637,10 @@ def _verify_switcher(r: CaseReport) -> bool:
     mp = r.embedding.mapping
     if not len(cert.triples) == len(cert.quads) == len(cert.picks) == p - 1:
         return False
+    quad_verts = _packed_vertices(k, cert.quads)
+    if quad_verts is None:
+        return False
     seen_forest: set[int] = set()
-    seen_host: set[int] = set()
     for (t, (a, bb)), quad, pick in zip(cert.triples, cert.quads,
                                         cert.picks):
         if f.degree(t) != 2 or f.neighbors(t) != (a, bb):
@@ -632,24 +649,13 @@ def _verify_switcher(r: CaseReport) -> bool:
         if group & seen_forest:
             return False
         seen_forest |= group
-        verts = set(quad.vertices)
-        if len(verts) != 4 or verts & seen_host:
-            return False
-        seen_host |= verts
-        if not _canonical_switcher_holds(k, quad):
-            return False
         d1, d2, d3, d4 = quad.vertices
         if mp[a] != d2 or mp[bb] != d4:
             return False
         if mp[t] != (d1 if pick == 0 else d3):
             return False
-    quad_verts = {v for q in cert.quads for v in q.vertices}
-    for v in range(f.n):
-        if v in seen_forest:
-            continue
-        if mp[v] in quad_verts:
-            return False
-    return True
+    return all(mp[v] not in quad_verts
+               for v in range(f.n) if v not in seen_forest)
 
 
 def _verify_mono_subclique(r: CaseReport) -> bool:
@@ -660,14 +666,9 @@ def _verify_mono_subclique(r: CaseReport) -> bool:
     mp = r.embedding.mapping
     if len(cert.removed_quads) > p - 2:
         return False
-    removed = set()
-    for quad in cert.removed_quads:
-        verts = set(quad.vertices)
-        if len(verts) != 4 or verts & removed:
-            return False
-        if not _canonical_switcher_holds(k, quad):
-            return False
-        removed |= verts
+    removed = _packed_vertices(k, cert.removed_quads)
+    if removed is None:
+        return False
     rem = set(cert.remainder)
     if rem & removed or rem | removed != set(range(k.order)):
         return False

@@ -40,17 +40,17 @@ copies in 0.06 ms and builds its masks in 0.5 ms.
 
 An aligned block of k^L counters then needs the OR, over copies, of the
 mask its high sum selects, but only until all of its bits are set: a
-batch of blocks, as many as 2^13 words hold, takes the copies in passes
-of doubling length, fewest low edges first, and drops each block as soon
-as it is full. A task, the unit of sharding and of checkpoint writes, is
-the rest of one batch. So a block costs k^L/64 word operations for each
-copy up to the one that fills it, not for all C: P_4 in K_6 over Z_3 has
-180 copies, and a block is full after 3.8 of them on average (median 2,
-worst 83). No gathered or set-up temporary holds more than 2^13 words
-(64 KB); the digits of a batch's block starts take a few values per edge
-and block. Nothing is done per coloring in Python. On the same VM, that
-P_4 scan (3^15 colorings) takes 6 to 9 ms, and the reduced scan of P_4 in
-K_7 over Z_3 (4.0e8 colorings, 420 copies) about 0.12 s.
+batch of blocks, as many as 2^13 words hold as masks or as the m decoded
+digits of their starts, takes the copies in passes of doubling length,
+fewest low edges first, and drops each block as soon as it is full. A
+task, the unit of sharding and of checkpoint writes, is the rest of one
+batch. So a block costs k^L/64 word operations for each copy up to the
+one that fills it, not for all C: P_4 in K_6 over Z_3 has 180 copies,
+and a block is full after 3.8 of them on average (median 2, worst 83).
+No gathered, set-up or decoded temporary holds more than 2^13 words
+(64 KB). Nothing is done per coloring in Python. On the same VM, that
+P_4 scan (3^15 colorings) takes 6 to 9 ms, and the reduced scan of P_4
+in K_7 over Z_3 (4.0e8 colorings, 420 copies) about 0.12 s.
 """
 
 from __future__ import annotations
@@ -307,7 +307,8 @@ class _SplitScan:
 
     _PASS_WORDS sizes everything: L is about m/2, lowered until the set-up's
     temporaries fit in that many words, a batch is as many blocks as fit in
-    it, and a task is the rest of one batch.
+    it, counting a block's mask words or the m digits of its start,
+    whichever is more, and a task is the rest of one batch.
     """
 
     def __init__(self, enum: _Enumeration, copies: np.ndarray):
@@ -381,8 +382,10 @@ class _SplitScan:
             masks[c0:c1] = acc
         self.masks = masks.reshape(-1, words)
 
+        # a batch's masks take words per block, and the digits of its
+        # block starts up to m words per block while they are decoded
         self.batch = max(1, min(enum.total // self.block,
-                                _PASS_WORDS // words))
+                                _PASS_WORDS // max(words, m)))
 
     def tasks(self, start: int):
         """(start, stop) ranges that run from start to the end of the space,
@@ -390,7 +393,8 @@ class _SplitScan:
         batch · block, or at the end.
 
         A batch is as many blocks as one temporary of _PASS_WORDS words
-        holds, at most 2^19 counters; each task is one checkpoint write."""
+        holds, as masks or as the decoded digits of their starts, so at
+        most 2^19 counters; each task is one checkpoint write."""
         unit = self.batch * self.block
         pos = start
         while pos < self.enum.total:

@@ -3,9 +3,10 @@
 Colorings use the scheme named ``splitmix64-mod``: a splitmix64 stream seeded
 with the given value, one output per edge in lexicographic order ((0,1),
 (0,2), ..., (1,2), ...), reduced by the modulus. The scheme name travels in
-reports so results replicate across implementations. Forest generation rides
-the same stream (Pruefer decoding) but only the coloring scheme is part of
-the external contract.
+reports so results replicate across implementations. Forest generation
+(Pruefer decoding) and the near-one-colored hosts of
+:func:`near_one_colored` ride the same stream, but only the coloring scheme
+is part of the external contract.
 """
 
 from __future__ import annotations
@@ -47,6 +48,27 @@ def random_coloring(order: int, modulus: int, seed: int) -> ColoredClique:
         mat[u, v] = c
         mat[v, u] = c
     return ColoredClique(order, modulus, mat)
+
+
+def near_one_colored(order: int, p: int, seed: int) -> ColoredClique:
+    """One base color plus recolored stars of at most three edges at up to
+    p - 2 centers, the stars pairwise vertex-disjoint.
+
+    Every switcher must then contain a center, so no switcher packing reaches
+    p - 1 and the non-switchable and non-vibrant engines carry the load.
+    """
+    stream = splitmix64(seed)
+    base = next(stream) % p
+    mat = np.full((order, order), base, dtype=np.int16)
+    np.fill_diagonal(mat, 0)
+    centers = 1 + next(stream) % (p - 2) if p > 3 else 1
+    free = list(range(order))
+    for _ in range(centers):
+        c = free.pop(next(stream) % len(free))
+        for _ in range(1 + next(stream) % 3):
+            u = free.pop(next(stream) % len(free))
+            mat[c, u] = mat[u, c] = (base + 1 + next(stream) % (p - 1)) % p
+    return ColoredClique(order, p, mat)
 
 
 def _decode_pruefer(seq: list[int], n: int) -> list[tuple[int, int]]:

@@ -4,7 +4,8 @@ function returning (passed, detail).
 Every criterion is deterministic: all randomness flows from fixed seeds
 through the splitmix64 stream, so a failure reproduces exactly. The suite
 is exposed both to pytest (tests/test_acceptance.py) and to the CLI
-(`zsforest selftest`).
+(`zsforest selftest`). Random and near-one-colored hosts come from
+:mod:`zsforest.randomgen`; criterion 7's planted hosts are built here.
 
 Criteria and their sources of truth:
   1  exact Z_2 values for C_4 and 2K_2 by exhaustive enumeration
@@ -12,7 +13,8 @@ Criteria and their sources of truth:
      closed-form rule
   3  P_7 into 10,000 random colorings of K_22 over Z_3, constructive only
   4  26-vertex random tree into 1,000 random colorings of K_59 over Z_5
-  5  each constructive case at its own sharp host order
+  5  each constructive case at its own sharp host order: one sweep per row
+     of a table of (draw, engine, case), at p = 3 and 5
   6  iterated sumset lower bound plus brute-force equality
   7  structural facts: on all colorings of K_5, switcher-free holds exactly
      when one-colored at p = 3 and exactly when one-colored or a vertex-cut
@@ -41,8 +43,8 @@ from .embedder import (CASE_BUSHY_VIBRANT, CASE_FALLBACK,
 from .extremal import star_lower_bound_coloring
 from .oracle import brute_zero_sum, compute_ramsey, exact_z3
 from .patterns import cycle, matching, path, spider, star
-from .randomgen import (random_bushy_tree, random_coloring, random_forest,
-                        random_tree, splitmix64)
+from .randomgen import (near_one_colored, random_bushy_tree, random_coloring,
+                        random_forest, random_tree, splitmix64)
 from .sumset import iterated_sumset
 
 
@@ -113,129 +115,93 @@ def _spider_legs(n: int, legs: int, stream) -> Forest:
     return spider(*lengths)
 
 
-def _case_a(per_p: int) -> tuple[int, int, list[str]]:
-    """Bushy + vibrant instances at host order n + p - 1."""
-    checked = attempts = 0
+def _draw_a(p: int, seed: int) -> Optional[tuple[Forest, ColoredClique]]:
+    """A bushy tree on a host of order n + p - 1, kept when it is vibrant."""
+    pool = (10, 13, 16) if p == 3 else (31, 36)
+    n = pool[seed % len(pool)]
+    f = random_bushy_tree(n, p, seed=50_000 + seed)
+    k = random_coloring(n + p - 1, p, seed=51_000_000 + seed)
+    return (f, k) if len(vibrant_vertices(k, p)) >= p - 1 else None
+
+
+def _draw_b(p: int, seed: int) -> Optional[tuple[Forest, ColoredClique]]:
+    """A non-bushy path or spider with n >= 7p - 3 on a host of order
+    n + p - 1, kept when p - 1 disjoint switchers pack."""
+    pool = (19, 22) if p == 3 else (36, 41)
+    n = pool[seed % len(pool)]
+    stream = splitmix64(52_000_000 + seed)
+    if next(stream) % 2:
+        f = path(n)
+    else:
+        legs = 3 if p == 3 else 5 + next(stream) % 3
+        f = _spider_legs(n, legs, stream)
+    if is_bushy(f, p):
+        raise ValueError("generator gave bushy")
+    k = random_coloring(n + p - 1, p, seed=53_000_000 + seed)
+    if len(maximal_disjoint_switchers(k, p - 1)) != p - 1:
+        return None
+    return f, k
+
+
+def _draw_c(p: int, seed: int) -> tuple[Forest, ColoredClique]:
+    """A path on a near-one-colored host of order n + 4p - 2, which is
+    never switchable; the dispatcher must find a verified copy too."""
+    pool = (10, 13) if p == 3 else (16, 21)
+    n = pool[(seed - 1) % len(pool)]
+    f = path(n)
+    k = near_one_colored(n + 4 * p - 2, p, 54_000_000 + seed - 1)
+    if not verify_report(find_zero_sum_copy(f, k, p, allow_fallback=False)):
+        raise ValueError("dispatcher report fails verification")
+    return f, k
+
+
+# criterion 5's table of (tag, draw, engine, case): draw(p, seed) returns a
+# (forest, host) instance of the case, or None when the draw does not fall
+# in it, and raises when the draw itself is at fault
+_CASES = (
+    ("a", _draw_a, embed_bushy_vibrant, CASE_BUSHY_VIBRANT),
+    ("b", _draw_b, embed_nonbushy_switchable, CASE_NONBUSHY_SWITCHABLE),
+    ("c", _draw_c, embed_nonbushy_nonswitchable, CASE_NONBUSHY_NONSWITCHABLE),
+)
+
+
+def _case_sweep(per_p: int, tag: str, draw, engine, case: str
+                ) -> tuple[int, int, list[str]]:
+    """Run engine on per_p drawn instances at p = 3 and at p = 5, seeds
+    1, 2, ... and at most 40·per_p draws per prime; each report must name
+    the case and verify. Returns (instances, draws, problems)."""
+    checked = drawn = 0
     problems = []
-    for p, pool in ((3, (10, 13, 16)), (5, (31, 36))):
-        accepted = 0
-        seed = 0
+    for p in (3, 5):
+        accepted = seed = 0
         while accepted < per_p and seed < 40 * per_p:
             seed += 1
-            attempts += 1
-            n = pool[seed % len(pool)]
-            f = random_bushy_tree(n, p, seed=50_000 + seed)
-            k = random_coloring(n + p - 1, p, seed=51_000_000 + seed)
-            if len(vibrant_vertices(k, p)) < p - 1:
-                continue
-            accepted += 1
-            checked += 1
+            drawn += 1
+            where = f"{tag}/p={p} seed={seed}"
             try:
-                rep = embed_bushy_vibrant(f, k, p)
+                instance = draw(p, seed)
+                if instance is None:
+                    continue
+                accepted += 1
+                rep = engine(*instance, p)
             except Exception as err:
-                problems.append(f"a/p={p} seed={seed}: {err!r}")
+                problems.append(f"{where}: {err!r}")
                 continue
-            if rep.case_used != CASE_BUSHY_VIBRANT or not verify_report(rep):
-                problems.append(f"a/p={p} seed={seed}: bad report")
+            if rep.case_used != case or not verify_report(rep):
+                problems.append(f"{where}: bad report")
+        checked += accepted
         if accepted < per_p:
-            problems.append(f"a/p={p}: only {accepted} instances accepted")
-    return checked, attempts, problems
-
-
-def _case_b(per_p: int) -> tuple[int, int, list[str]]:
-    """Non-bushy + switchable with n >= 7p - 3, host order n + p - 1."""
-    checked = attempts = 0
-    problems = []
-    for p, pool in ((3, (19, 22)), (5, (36, 41))):
-        accepted = 0
-        seed = 0
-        while accepted < per_p and seed < 40 * per_p:
-            seed += 1
-            attempts += 1
-            n = pool[seed % len(pool)]
-            stream = splitmix64(52_000_000 + seed)
-            if next(stream) % 2:
-                f = path(n)
-            else:
-                legs = 3 if p == 3 else 5 + next(stream) % 3
-                f = _spider_legs(n, legs, stream)
-            k = random_coloring(n + p - 1, p, seed=53_000_000 + seed)
-            if is_bushy(f, p):
-                problems.append(f"b/p={p} seed={seed}: generator gave bushy")
-                continue
-            if len(maximal_disjoint_switchers(k, p - 1)) != p - 1:
-                continue
-            accepted += 1
-            checked += 1
-            try:
-                rep = embed_nonbushy_switchable(f, k, p)
-            except Exception as err:
-                problems.append(f"b/p={p} seed={seed}: {err!r}")
-                continue
-            if (rep.case_used != CASE_NONBUSHY_SWITCHABLE
-                    or not verify_report(rep)):
-                problems.append(f"b/p={p} seed={seed}: bad report")
-        if accepted < per_p:
-            problems.append(f"b/p={p}: only {accepted} instances accepted")
-    return checked, attempts, problems
-
-
-def _near_mono_clique(order: int, p: int, seed: int) -> ColoredClique:
-    """Mono base color plus recolored stars of <= 3 edges at <= p - 2
-    centers; star vertex sets pairwise disjoint, so every switcher must
-    contain a center and no packing can reach p - 1."""
-    stream = splitmix64(seed)
-    base = next(stream) % p
-    mat = np.full((order, order), base, dtype=np.int16)
-    np.fill_diagonal(mat, 0)
-    centers = 1 + next(stream) % (p - 2) if p > 3 else 1
-    free = list(range(order))
-    for _ in range(centers):
-        c = free.pop(next(stream) % len(free))
-        for _ in range(1 + next(stream) % 3):
-            u = free.pop(next(stream) % len(free))
-            shade = (base + 1 + next(stream) % (p - 1)) % p
-            mat[c, u] = mat[u, c] = shade
-    return ColoredClique(order, p, mat)
-
-
-def _case_c(per_p: int) -> tuple[int, int, list[str]]:
-    """Non-bushy + non-switchable instances at host order n + 4p - 2."""
-    checked = 0
-    problems = []
-    for p, pool in ((3, (10, 13)), (5, (16, 21))):
-        for i in range(per_p):
-            seed = 54_000_000 + i
-            n = pool[i % len(pool)]
-            f = path(n)
-            k = _near_mono_clique(n + 4 * p - 2, p, seed)
-            checked += 1
-            try:
-                rep = embed_nonbushy_nonswitchable(f, k, p)
-            except Exception as err:
-                problems.append(f"c/p={p} seed={seed}: {err!r}")
-                continue
-            if (rep.case_used != CASE_NONBUSHY_NONSWITCHABLE
-                    or not verify_report(rep)):
-                problems.append(f"c/p={p} seed={seed}: bad report")
-                continue
-            try:
-                disp = find_zero_sum_copy(f, k, p, allow_fallback=False)
-            except NoZeroSumCopy as err:
-                problems.append(f"c/p={p} seed={seed}: dispatcher {err!r}")
-                continue
-            if not verify_report(disp):
-                problems.append(f"c/p={p} seed={seed}: dispatcher report")
-    return checked, checked, problems
+            problems.append(f"{tag}/p={p}: only {accepted} instances accepted")
+    return checked, drawn, problems
 
 
 def criterion_5() -> tuple[bool, str]:
     parts = []
     all_problems = []
-    for name, fn in (("a", _case_a), ("b", _case_b), ("c", _case_c)):
-        checked, attempts, problems = fn(500)
+    for tag, draw, engine, case in _CASES:
+        checked, drawn, problems = _case_sweep(500, tag, draw, engine, case)
         all_problems += problems
-        parts.append(f"{name}: {checked} instances ({attempts} drawn), "
+        parts.append(f"{tag}: {checked} instances ({drawn} drawn), "
                      f"{len(problems)} problems")
     ok = not all_problems
     detail = "; ".join(parts)

@@ -17,8 +17,8 @@ from zsforest.classify import (ColorfulWitness, NoDominantColor, SwitcherQuad,
                                _quad_check, _subset_switcher,
                                dominant_partition, maximal_disjoint_switchers,
                                vibrant_vertices)
-from zsforest.randomgen import random_coloring, splitmix64
-from zsforest.selftest import _near_mono_clique, _planted_dominant
+from zsforest.randomgen import near_one_colored, random_coloring, splitmix64
+from zsforest.selftest import _planted_dominant
 
 
 def mono(order, modulus, color=0):
@@ -144,7 +144,7 @@ def table_host(kind, p, order, seed):
     if kind == "random":
         return random_coloring(order, p, seed)
     if kind == "near_mono":
-        return _near_mono_clique(order, p, seed)
+        return near_one_colored(order, p, seed)
     if kind == "planted":
         return _planted_dominant(p, order, splitmix64(seed))
     # the same hosts with every diagonal entry, which is no edge, nonzero
@@ -179,7 +179,7 @@ def test_color_degree_table_against_counter_recount(p, kind):
 def test_color_degree_table_working_set_is_bounded():
     # K_1517 over Z_23, guarantee scale at p = 23: besides the 1517 x 23
     # table only one N x N boolean mask (2.2 MiB) is live at a time
-    k = _near_mono_clique(1517, 23, seed=1)
+    k = near_one_colored(1517, 23, seed=1)
     tracemalloc.start()
     try:
         vibrant_vertices(k, 23)

@@ -15,20 +15,21 @@ from zsforest import (DivisibilityViolation, InsufficientTriples,
                       star_lower_bound_coloring, verify_report,
                       vibrant_vertices)
 from zsforest import embedder, selftest
-from zsforest.classify import ColorfulWitness
-from zsforest.core import ColoredClique
+from zsforest.classify import ColorfulWitness, SwitcherQuad
+from zsforest.core import ColoredClique, Embedding
 from zsforest.embedder import (CASE_BUSHY_NONVIBRANT, CASE_BUSHY_VIBRANT,
                                CASE_FALLBACK, CASE_NONBUSHY_NONSWITCHABLE,
-                               CASE_NONBUSHY_SWITCHABLE, GreedyStuck,
-                               MonochromaticityViolated,
+                               CASE_NONBUSHY_SWITCHABLE, CaseReport,
+                               GreedyStuck, MonochromaticityViolated,
                                MonoSubcliqueCert, NoZeroSumCopy,
                                SelectionExhausted, SwitcherCert,
                                embed_bushy_nonvibrant, embed_bushy_vibrant,
                                embed_nonbushy_nonswitchable,
                                embed_nonbushy_switchable, select_target_sets)
 from zsforest.patterns import forest_of_paths, matching, path, spider, star
-from zsforest.randomgen import random_coloring, random_forest, random_tree
-from zsforest.selftest import _finder_vs_oracle_instances, _near_mono_clique
+from zsforest.randomgen import (near_one_colored, random_coloring,
+                                random_forest, random_tree)
+from zsforest.selftest import _finder_vs_oracle_instances
 
 
 def mono_clique(order, p, color=0):
@@ -383,7 +384,7 @@ def test_guarantee_scale_large_primes(p, n, order, hosts, paths):
     cases = set()
     for seed in range(hosts):
         for k in (random_coloring(order, p, seed),
-                  _near_mono_clique(order, p, seed)):
+                  near_one_colored(order, p, seed)):
             for f in forests:
                 assert f.n == n
                 r = find_zero_sum_copy(f, k, p, allow_fallback=False)
@@ -414,7 +415,7 @@ def _k59_instances():
     K_59 over Z_5: guarantee scale at p = 5."""
     for seed in range(3):
         for k in (random_coloring(59, 5, seed),
-                  _near_mono_clique(59, 5, seed)):
+                  near_one_colored(59, 5, seed)):
             yield random_tree(26, seed=1), k, 5
             yield path(26), k, 5
 
@@ -468,7 +469,7 @@ def test_classify_runs_once_per_find(monkeypatch):
     fallback = list(_finder_vs_oracle_instances(4))[3]
     finds = ((random_tree(26, seed=1), random_coloring(59, 5, 0), 5,
               CASE_BUSHY_VIBRANT),
-             (path(26), _near_mono_clique(59, 5, 0), 5,
+             (path(26), near_one_colored(59, 5, 0), 5,
               CASE_BUSHY_NONVIBRANT),
              # one classification per engine tried would be three here
              (path(26), random_coloring(59, 5, 0), 5,
@@ -511,7 +512,7 @@ def _find_or_none(f, k, p, allow_fallback):
         return None
 
 
-def test_recorded_finder_digest(monkeypatch):
+def test_recorded_finder_digest():
     """Case, mapping, flags and verdict on a fixed corpus that reaches
     every case, the fallback and NoZeroSumCopy: criterion 9's first 300
     draws with and without the fallback, the K_59/Z_5 finds, and criterion
@@ -523,14 +524,11 @@ def test_recorded_finder_digest(monkeypatch):
     outcomes += [_outcome(_find_or_none(f, k, p, False))
                  for f, k, p in _k59_instances()]
     engine_reports = []
-    for name in ("embed_bushy_vibrant", "embed_nonbushy_switchable",
-                 "embed_nonbushy_nonswitchable"):
-        def record(f, k, p, engine=getattr(selftest, name)):
+    for tag, draw, engine, case in selftest._CASES:
+        def record(f, k, p, engine=engine):
             engine_reports.append(engine(f, k, p))
             return engine_reports[-1]
-        monkeypatch.setattr(selftest, name, record)
-    for case in (selftest._case_a, selftest._case_b, selftest._case_c):
-        assert case(10)[2] == []
+        assert selftest._case_sweep(10, tag, draw, record, case)[2] == []
     outcomes += [_outcome(r) for r in engine_reports]
     cases = {o if o == "NoZeroSumCopy" else o[0] for o in outcomes}
     assert cases == {CASE_BUSHY_VIBRANT, CASE_BUSHY_NONVIBRANT,
@@ -598,6 +596,57 @@ def test_verify_rejects_forged_mono_cert():
                                     remainder=r.auxiliary.remainder,
                                     color=Residue(1, 3))
     assert not verify_report(corrupt(r, auxiliary=wrong_color))
+
+
+def test_verify_rejects_broken_switcher_packing():
+    # the report of test_verify_rejects_corruptions, on a host where
+    # vertices 13, 14 and 15 meet no mapped edge and 14 and 15 have every
+    # edge colored 1; the unused quad vertices are d1 of the first quad
+    # (pick 1) and d3 of the second (pick 0)
+    base = {(0, 1): 1, (8, 9): 1}
+    r = embed_nonbushy_switchable(path(7), clique_with(16, 3, base), 3)
+    assert [q.vertices for q in r.auxiliary.quads] == [(1, 2, 3, 0),
+                                                       (5, 8, 9, 4)]
+    assert r.auxiliary.picks == (1, 0)
+    k = clique_with(16, 3, base | {(min(x, y), max(x, y)): 1
+                                   for x in (14, 15) for y in range(16)
+                                   if x != y})
+    emb = dataclasses.replace(r.embedding, host=k)
+
+    def forged(first, second):
+        cert = dataclasses.replace(r.auxiliary, quads=(
+            SwitcherQuad(first), SwitcherQuad(second)))
+        return corrupt(r, embedding=emb, auxiliary=cert)
+
+    assert verify_report(forged((14, 2, 3, 0), (5, 8, 15, 4)))
+    # the two quads share vertex 14
+    assert not verify_report(forged((14, 2, 3, 0), (5, 8, 14, 4)))
+    # chi(0 13) + chi(13 2) = chi(2 3) + chi(3 0) = 0
+    assert not verify_report(forged((13, 2, 3, 0), (5, 8, 15, 4)))
+
+
+def test_verify_rejects_broken_mono_subclique_packing():
+    # one-colored K_14 over Z_5 but for edges 01 and 45: the quads 0123
+    # and 3456 (or 7456) each hold one of them on their cycle
+    k = clique_with(14, 5, {(0, 1): 1, (4, 5): 1})
+
+    def report(quads, remainder):
+        cert = MonoSubcliqueCert(
+            removed_quads=tuple(SwitcherQuad(q) for q in quads),
+            remainder=remainder, color=Residue(0, 5))
+        return CaseReport(bushy=False, vibrant=False, switchable=False,
+                          case_used=CASE_NONBUSHY_NONSWITCHABLE,
+                          embedding=Embedding(path(6), k, tuple(range(8, 14))),
+                          auxiliary=cert)
+
+    assert verify_report(report([(0, 1, 2, 3), (7, 4, 5, 6)],
+                                tuple(range(8, 14))))
+    # the two quads share vertex 3
+    assert not verify_report(report([(0, 1, 2, 3), (3, 4, 5, 6)],
+                                    tuple(range(7, 14))))
+    # 01 is a diagonal of the cycle 0 2 1 3, whose four edges are all 0
+    assert not verify_report(report([(0, 2, 1, 3), (7, 4, 5, 6)],
+                                    tuple(range(8, 14))))
 
 
 def test_verify_never_raises_on_garbage():

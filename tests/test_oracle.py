@@ -18,18 +18,7 @@ from zsforest import (BudgetExceeded, CheckpointMismatch, ColoredClique,
 from zsforest import oracle
 from zsforest.oracle import (_Enumeration, _read_entries, _subgraph_copies,
                              _write_entries, scan_colorings)
-
-
-def path(n):
-    return build_forest(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def star(m):
-    return build_forest(m + 1, [(0, i) for i in range(1, m + 1)])
-
-
-def matching(j):
-    return build_forest(2 * j, [(2 * i, 2 * i + 1) for i in range(j)])
+from zsforest.patterns import matching, path, spider, star
 
 
 C4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -368,7 +357,9 @@ def test_scan_working_set_is_bounded():
     ids=["K2-K2-Z2048", "P3-K3-Z64", "P3-K3-Z128"])
 def test_scan_working_set_is_bounded_at_large_moduli(g, order, k, witness):
     # a set-up that built a k × k shift table and gathered k² masks of a
-    # whole block per set peaked at 34, 4.4 and 66 MiB here
+    # whole block per set peaked at 34, 4.4 and 66 MiB here, and a batch
+    # sized by its mask words alone decoded its block starts in 0.3 and
+    # 0.5 MiB at Z_64 and Z_128
     scan_colorings(g, order, k)  # first-call allocations stay out
     tracemalloc.start()
     try:
@@ -377,7 +368,7 @@ def test_scan_working_set_is_bounded_at_large_moduli(g, order, k, witness):
     finally:
         tracemalloc.stop()
     assert res.witness_counter == witness
-    assert peak < 1 << 20, peak
+    assert peak < 3 << 17, peak  # 3/8 MiB
 
 
 def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
@@ -734,6 +725,27 @@ def test_exact_z3_known_values():
     # P_3 + K_2: degrees 1,2,1,1,1 -> no multiples of 3 -> n+1
     g = build_forest(5, [(0, 1), (1, 2), (3, 4)])
     assert exact_z3(g) == 6
+
+
+def test_exact_z3_values_at_k7_by_enumeration():
+    # 3K_2 and the (3, 4) double star have value 8, so some coloring of K_7
+    # over Z_3 avoids them: the first one is found at the same counter in
+    # either mode, and brute force finds no zero-sum copy in it.
+    # spider(2,2,2) has value 7: no coloring of K_7 avoids it
+    budget = 3 ** 21
+    dstar = build_forest(7, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5), (3, 6)])
+    for g, counter in ((matching(3), 29_524), (dstar, 28_578_195)):
+        assert exact_z3(g) == 8
+        for reduce in (False, True):
+            res = scan_colorings(g, 7, 3, budget, reduce_symmetry=reduce)
+            assert not res.unavoidable
+            assert res.witness_counter == counter
+            assert brute_zero_sum(g, res.witness) is None
+    legs = spider(2, 2, 2)
+    assert exact_z3(legs) == 7
+    res = scan_colorings(legs, 7, 3, budget, reduce_symmetry=True)
+    assert res.unavoidable
+    assert res.colorings_checked == res.enumerated_space == 401_769_396
 
 
 def test_exact_z3_agrees_with_enumeration():
