@@ -39,18 +39,26 @@ max(k², 8) <= 2^19. On a 2-vCPU shared VM, P_4 in K_6 over Z_3 lists its
 copies in 0.06 ms and builds its masks in 0.5 ms.
 
 An aligned block of k^L counters then needs the OR, over copies, of the
-mask its high sum selects, but only until all of its bits are set: a
-batch of blocks, as many as 2^13 words hold as masks or as the m decoded
-digits of their starts, takes the copies in passes of doubling length,
-fewest low edges first, and drops each block as soon as it is full. A
-task, the unit of sharding and of checkpoint writes, is the rest of one
-batch. So a block costs k^L/64 word operations for each copy up to the
-one that fills it, not for all C: P_4 in K_6 over Z_3 has 180 copies,
-and a block is full after 3.8 of them on average (median 2, worst 83).
-No gathered, set-up or decoded temporary holds more than 2^13 words
-(64 KB). Nothing is done per coloring in Python. On the same VM, that
-P_4 scan (3^15 colorings) takes 6 to 9 ms, and the reduced scan of P_4
-in K_7 over Z_3 (4.0e8 colorings, 420 copies) about 0.12 s.
+mask its high sum selects, but only until all of its bits are set. Blocks
+go in batches, as many as 2^13 words hold as masks or as the m decoded
+digits of their starts, and a task, the unit of sharding and of checkpoint
+writes, is the rest of one batch. The copies come fewest low edges first.
+One with no low edge fills its block when its high sum is 0 and sets no
+bit otherwise, so those copies settle the batch on high digits alone: in
+passes of doubling length, one integer per live block, they drop every
+block where one of them sums to 0. Only the blocks left get bitmask rows,
+and they take the copies with low edges in passes of doubling length,
+each block dropped as soon as it is full. So a settled block costs one
+integer per copy up to the first whose sum is 0, and a block left costs
+k^L/64 word operations per copy with low edges up to the one that fills
+it, not for all C. P_4 in K_6 over Z_3 has 180 copies, 14 with no low
+edge; they settle 2,157 of its 2,187 blocks, after 3.1 of them on average
+(median 2), and the other 30 blocks are full after 55 copies with low
+edges on average (worst 69). No gathered, set-up or decoded temporary
+holds more than 2^13 words (64 KB). Nothing is done per coloring in
+Python. On the same VM, that P_4 scan (3^15 colorings) takes 3 to 4 ms,
+and the reduced scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420
+copies, 78 with no low edge, every block settled) 35 to 60 ms.
 """
 
 from __future__ import annotations
@@ -302,8 +310,9 @@ class _SplitScan:
     zero-sum copy are then the OR, over copies, of the mask selected by the
     copy's high sum. A block leaves the OR once all of its bits are set, so
     the copies after that cost it nothing. The copies with the fewest low
-    edges come first, because one with none fills its block when its high
-    sum is 0; OR does not depend on the order.
+    edges come first; OR does not depend on the order. The first
+    ``settling`` of them have no low edge: each fills its block when its
+    high sum is 0 and sets no bit otherwise, so they need no mask.
 
     _PASS_WORDS sizes everything: L is about m/2, lowered until the set-up's
     temporaries fit in that many words, a batch is as many blocks as fit in
@@ -323,9 +332,12 @@ class _SplitScan:
         self.split = split = m - low  # number of high digits
         self.block = k ** low
         self.words = words = -(-self.block // 64)
-        order = np.argsort((copies >= split).sum(axis=1), kind="stable")
+        lows = (copies >= split).sum(axis=1)
+        order = np.argsort(lows, kind="stable")
         copies = copies[order]
         ncopies = len(copies)
+        # the copies with no low edge, which come first
+        self.settling = int(np.count_nonzero(lows == 0))
         # a copy's high sum, up to split·(k - 1), must not wrap around
         incidence = np.zeros((m, ncopies), dtype=np.int16
                              if split * (k - 1) < 1 << 15 else np.int32)
@@ -407,10 +419,14 @@ class _SplitScan:
         copy, or None. The range is a task: it lies inside one batch, and
         ``stop`` is a multiple of the block length.
 
-        The batch's blocks take the copies in passes of doubling length,
-        and after each pass drop the blocks with every bit set. A pass
-        gathers at most _PASS_WORDS words, and at least _MIN_PASS_WORDS
-        unless the copies run out.
+        The blocks are first settled on their high digits: a copy with no
+        low edge fills its block when its high sum is 0 and sets no bit
+        otherwise, so those copies only drop blocks, in passes of one
+        integer per live block. The blocks left take the copies with low
+        edges in passes of words per block, and after each pass drop the
+        blocks with every bit set. Both kinds of pass double in length from
+        at least _MIN_PASS_WORDS entries, unless the copies run out, to at
+        most _PASS_WORDS.
         """
         block, words, k = self.block, self.words, self.enum.k
         ncopies = len(self.offsets)
@@ -418,15 +434,22 @@ class _SplitScan:
         nb = stop // block - b0
         high = self.enum.colors_block(b0 * block, nb, block)[:, :self.split]
         live = np.arange(nb)  # the blocks with a bit still unset
-        seen = np.empty((nb, words), dtype=np.uint64)
-        seen[:] = self.pad
-        if b0 * block < start:  # resuming inside this block
-            seen[0] |= _pack(np.arange(words * 64) < start - b0 * block)
         c0 = step = 0
+        while c0 < self.settling:
+            step = _pass_length(step, live.size)
+            c1 = min(self.settling, c0 + step)
+            open_ = ((high @ self.high[:, c0:c1]) % k).all(axis=1)
+            live, high = live[open_], high[open_]
+            if not live.size:
+                return None
+            c0 = c1
+        seen = np.empty((live.size, words), dtype=np.uint64)
+        seen[:] = self.pad
+        if live[0] == 0 and b0 * block < start:  # resuming inside this block
+            seen[0] |= _pack(np.arange(words * 64) < start - b0 * block)
+        step = 0
         while c0 < ncopies:
-            row = live.size * words
-            step = max(1, min(max(2 * step, _MIN_PASS_WORDS // row),
-                              _PASS_WORDS // row))
+            step = _pass_length(step, live.size * words)
             c1 = min(ncopies, c0 + step)
             # mask row of (the copy's low edges, its high sum)
             picks = (high @ self.high[:, c0:c1]) % k + self.offsets[c0:c1]
@@ -445,6 +468,15 @@ class _SplitScan:
         bits = int(unseen[b, w])
         bit = (bits & -bits).bit_length() - 1
         return (b0 + int(live[b])) * block + 64 * w + bit
+
+
+def _pass_length(step: int, row: int) -> int:
+    """Copies in the next pass when each copy takes ``row`` entries over
+    the live blocks, after a pass of ``step`` copies (0 before the first):
+    twice as many, but at least _MIN_PASS_WORDS entries and at most
+    _PASS_WORDS, and never none."""
+    return max(1, min(max(2 * step, _MIN_PASS_WORDS // row),
+                      _PASS_WORDS // row))
 
 
 # worker state for sharded scans (populated per process by the initializer)

@@ -223,11 +223,13 @@ def test_split_digit_scan_matches_direct_sums(reduce_symmetry):
 
 def test_split_digit_scan_resumes_inside_a_block(tmp_path):
     # P_4 in K_5 over Z_3 has 3^5-row blocks; none of these starts is a
-    # multiple of 243, and the witnesses of K_{1,3} lie near 3050
+    # multiple of 243, and the witnesses of K_{1,3} lie near 3050. From
+    # 135, the first witness, 3050 or 2321, is row 134 of a later block,
+    # and the block of the start has none
     for i, (g, reduce_symmetry, starts) in enumerate((
             (path(4), False, (1, 242, 244, 29524, 59048)),
-            (star(3), False, (7, 3000, 3050, 3051, 59048)),
-            (star(3), True, (100, 2321, 2322, 10934)))):
+            (star(3), False, (7, 135, 3000, 3050, 3051, 59048)),
+            (star(3), True, (100, 135, 2321, 2322, 10934)))):
         cp = str(tmp_path / f"scan{i}.ckpt")
         scan_colorings(g, 5, 3, reduce_symmetry=reduce_symmetry,
                        checkpoint=cp)
@@ -368,6 +370,26 @@ def test_scan_working_set_is_bounded_at_large_moduli(g, order, k, witness):
     finally:
         tracemalloc.stop()
     assert res.witness_counter == witness
+    assert peak < 3 << 17, peak  # 3/8 MiB
+
+
+def test_settle_working_set_is_bounded():
+    # the first task of reduced P_7 in K_9 over Z_3: 26 blocks, and 11,808
+    # copies with no low edge, all taken by the settle. Word passes alone
+    # peaked at 191 KiB here, and one product over those copies at 1.2 MiB
+    scan = oracle._SplitScan(_Enumeration(9, 3, True),
+                             _subgraph_copies(path(7), 9))
+    start, stop = next(scan.tasks(0))
+    assert (stop - start) // scan.block == scan.batch == 26
+    assert scan.settling == 11_808
+    scan.first_missing(start, stop)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        found = scan.first_missing(start, stop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is None  # R(P_7, Z_3) = 8
     assert peak < 3 << 17, peak  # 3/8 MiB
 
 
