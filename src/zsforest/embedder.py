@@ -516,6 +516,19 @@ def _verify_common(r: CaseReport) -> bool:
     return True
 
 
+def _in_host(k: ColoredClique, vertices: Sequence[int],
+             distinct: bool = False) -> bool:
+    """True when every certificate vertex is one of the host's vertices
+    0, ..., k.order - 1 and, when asked, no two are equal.
+
+    Numpy reads a negative index from the far end of an axis, so every
+    check that indexes the matrix with certificate vertices asks this
+    first."""
+    held = set(vertices)
+    return (held <= set(range(k.order))
+            and (not distinct or len(held) == len(vertices)))
+
+
 def _verify_bushy_vibrant(r: CaseReport) -> bool:
     f = r.embedding.pattern
     k = r.embedding.host
@@ -530,6 +543,11 @@ def _verify_bushy_vibrant(r: CaseReport) -> bool:
     if sum(fam.counts) != p - 1:
         return False
     if len(cert.picks) != p - 1:
+        return False
+    targets = cert.targets
+    if not _in_host(k, [*targets.parent_hosts.values(),
+                        *(h for xs in targets.same_color for h in xs),
+                        *(h for ys in targets.other_color for h in ys)]):
         return False
 
     all_targets: set[int] = set()
@@ -587,23 +605,31 @@ def _verify_monochromatic(r: CaseReport) -> bool:
     k = r.embedding.host
     p = k.modulus
     cert: MonochromaticCert = r.auxiliary
-    mp = r.embedding.mapping
-    cls = set(cert.class_vertices)
-    subset = set(cert.subclique)
-    if not cls <= subset:
+    color = cert.color.value
+    if not (_in_host(k, cert.subclique, distinct=True)
+            and _in_host(k, cert.class_vertices, distinct=True)):
         return False
-    if any(h not in cls for h in mp):
+    sub = np.array(cert.subclique, dtype=np.intp)
+    cls = np.array(cert.class_vertices, dtype=np.intp)
+    # column of each host vertex in the sub-clique, -1 outside it
+    column = np.full(k.order, -1)
+    column[sub] = np.arange(sub.size)
+    if (column[cls] < 0).any():
         return False
-    for u, v in f.edges:
-        if k.value(mp[u], mp[v]) != cert.color.value:
-            return False
-    threshold = len(cert.subclique) - (3 * p - 4)
-    for v in cert.class_vertices:
-        cnt = sum(1 for u in cert.subclique
-                  if u != v and k.value(u, v) == cert.color.value)
-        if cnt < threshold:
-            return False
-    return True
+    in_class = np.zeros(k.order, dtype=bool)
+    in_class[cls] = True
+    mp = np.asarray(r.embedding.mapping, dtype=np.intp)
+    if not in_class[mp].all():
+        return False
+    ends = mp[np.array(f.sorted_edges(), dtype=np.intp).reshape(-1, 2)]
+    if (k.matrix[ends[:, 0], ends[:, 1]] != color).any():
+        return False
+    # each class vertex's color degree inside the sub-clique; its own
+    # column is no edge, whatever the diagonal holds
+    hits = k.matrix[cls][:, sub] == color
+    hits[np.arange(cls.size), column[cls]] = False
+    threshold = sub.size - (3 * p - 4)
+    return bool((hits.sum(axis=1) >= threshold).all())
 
 
 def _canonical_switcher_holds(k: ColoredClique, quad: SwitcherQuad) -> bool:
@@ -617,16 +643,14 @@ def _canonical_switcher_holds(k: ColoredClique, quad: SwitcherQuad) -> bool:
 def _packed_vertices(k: ColoredClique,
                      quads: tuple[SwitcherQuad, ...]) -> Optional[set[int]]:
     """The vertices of a certified switcher packing, or None unless each
-    quad has four distinct vertices, no two quads meet, and each quad
-    meets the canonical inequality."""
-    packed: set[int] = set()
-    for quad in quads:
-        verts = set(quad.vertices)
-        if (len(verts) != 4 or verts & packed
-                or not _canonical_switcher_holds(k, quad)):
-            return None
-        packed |= verts
-    return packed
+    quad has four vertices of the host, no vertex appears twice in the
+    packing, and each quad meets the canonical inequality."""
+    verts = [v for quad in quads for v in quad.vertices]
+    if (any(len(quad.vertices) != 4 for quad in quads)
+            or not _in_host(k, verts, distinct=True)
+            or not all(_canonical_switcher_holds(k, quad) for quad in quads)):
+        return None
+    return set(verts)
 
 
 def _verify_switcher(r: CaseReport) -> bool:
@@ -663,23 +687,20 @@ def _verify_mono_subclique(r: CaseReport) -> bool:
     k = r.embedding.host
     p = k.modulus
     cert: MonoSubcliqueCert = r.auxiliary
-    mp = r.embedding.mapping
     if len(cert.removed_quads) > p - 2:
         return False
     removed = _packed_vertices(k, cert.removed_quads)
-    if removed is None:
+    if removed is None or not _in_host(k, cert.remainder, distinct=True):
         return False
     rem = set(cert.remainder)
     if rem & removed or rem | removed != set(range(k.order)):
         return False
     if len(rem) < 5 or len(rem) < f.n:
         return False
-    rem_sorted = sorted(rem)
-    for i, u in enumerate(rem_sorted):
-        for v in rem_sorted[i + 1:]:
-            if k.value(u, v) != cert.color.value:
-                return False
-    return all(h in rem for h in mp)
+    idx = np.array(cert.remainder, dtype=np.intp)
+    if np.triu(k.matrix[idx][:, idx] != cert.color.value, 1).any():
+        return False
+    return all(h in rem for h in r.embedding.mapping)
 
 
 _VERIFIERS = {
@@ -693,7 +714,15 @@ _VERIFIERS = {
 def verify_report(r: CaseReport) -> bool:
     """Recheck a report from scratch: injectivity, zero sum, and every
     case-specific certificate invariant. Never raises; any inconsistency,
-    malformed field, or unknown case yields False."""
+    malformed field, or unknown case yields False.
+
+    Every host vertex a certificate names (anchors, targets, switcher
+    vertices, sub-clique, class and remainder vertices) must be one of
+    the host's vertices 0, ..., order - 1; a negative or larger one is
+    rejected, never read from the far end of the matrix. The vertices of
+    a switcher packing, of the sub-clique, of the class and of the
+    remainder must each be free of repeats. The checks read the host
+    matrix directly and share no table with the finder."""
     try:
         if not _verify_common(r):
             return False

@@ -3,6 +3,7 @@ order, and seeded soundness sweeps cross-checked against the oracle."""
 
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -372,11 +373,14 @@ def test_dispatch_guarantee_scale_no_fallback():
         assert verify_report(r)
 
 
-@pytest.mark.parametrize("p, n, order, hosts, paths", [
+LARGE_PRIMES = [
     (7, 74, 125, 5, [20, 18, 18, 18]),
     (11, 242, 329, 2, [22] * 11),
     (13, 362, 467, 1, [33] * 10 + [32]),
-])
+]
+
+
+@pytest.mark.parametrize("p, n, order, hosts, paths", LARGE_PRIMES)
 def test_guarantee_scale_large_primes(p, n, order, hosts, paths):
     # n = 3p^2 - 12p + 11 and order = n + 9p - 12, on random and on
     # near-one-colored hosts
@@ -655,6 +659,227 @@ def test_verify_never_raises_on_garbage():
     assert not verify_report(corrupt(r, auxiliary=object()))
     short = dataclasses.replace(r, case_used=CASE_NONBUSHY_SWITCHABLE)
     assert not verify_report(short)
+
+
+def recolored(report, edges):
+    """The report on a copy of its host with each listed edge moved to
+    the next color."""
+    k = report.embedding.host
+    m = np.array(k.matrix)
+    for u, v in edges:
+        m[u, v] = m[v, u] = (m[u, v] + 1) % k.modulus
+    host = ColoredClique(k.order, k.modulus, m)
+    return corrupt(report, embedding=dataclasses.replace(report.embedding,
+                                                         host=host))
+
+
+def class_vertex_short_by(report, short):
+    """Recolor edges from one unmapped class vertex to unmapped sub-clique
+    vertices until its color degree in the sub-clique is threshold - short.
+    Forest edges keep their colors."""
+    k = report.embedding.host
+    cert = report.auxiliary
+    color = cert.color.value
+    image = set(report.embedding.mapping)
+    v = max(set(cert.class_vertices) - image)
+    degree = sum(1 for u in cert.subclique
+                 if u != v and k.value(u, v) == color)
+    threshold = len(cert.subclique) - (3 * k.modulus - 4)
+    spare = [u for u in cert.subclique if u != v and u not in image
+             and k.value(u, v) == color]
+    return recolored(report, [(v, u) for u in
+                              spare[:degree - threshold + short]])
+
+
+def remainder_edge_recolored(report):
+    """Recolor one edge between two remainder vertices off the image."""
+    image = set(report.embedding.mapping)
+    free = [v for v in report.auxiliary.remainder if v not in image]
+    return recolored(report, [(free[0], free[1])])
+
+
+def near_one_colored_reports(order, p, seed, forests):
+    """The dispatcher's report and the non-switchable engine's report for
+    each forest on one near-one-colored host."""
+    k = near_one_colored(order, p, seed)
+    for f in forests:
+        yield find_zero_sum_copy(f, k, p, allow_fallback=False)
+        yield embed_nonbushy_nonswitchable(f, k, p)
+
+
+def test_verify_rejects_short_class_vertex():
+    [r, _] = near_one_colored_reports(59, 5, 0, [path(26)])
+    assert r.case_used == CASE_BUSHY_NONVIBRANT
+    assert verify_report(r)
+    assert verify_report(class_vertex_short_by(r, 0))
+    assert not verify_report(class_vertex_short_by(r, 1))
+
+
+def test_verify_rejects_recolored_remainder_edge():
+    [_, r] = near_one_colored_reports(59, 5, 0, [path(26)])
+    assert r.case_used == CASE_NONBUSHY_NONSWITCHABLE
+    assert verify_report(r)
+    assert not verify_report(remainder_edge_recolored(r))
+
+
+def test_verify_masks_the_diagonal_by_index():
+    # every entry of K_14 over Z_3 holds color 1, the unused diagonal
+    # included, so a count that let a vertex's own entry in would put
+    # vertex 13 back at the threshold 14 - 5 = 9
+    k = ColoredClique(14, 3, np.ones((14, 14), dtype=np.int64))
+    r = embed_bushy_nonvibrant(path(7), k, 3)
+    assert r.auxiliary.subclique == r.auxiliary.class_vertices == tuple(
+        range(14))
+    assert max(r.embedding.mapping) < 13
+    assert verify_report(class_vertex_short_by(r, 0))
+    assert not verify_report(class_vertex_short_by(r, 1))
+
+
+def test_verify_rejects_vertices_outside_host():
+    k = mono_clique(9, 3)
+    r = embed_bushy_nonvibrant(path(7), k, 3)
+    assert verify_report(r)
+    sub, cls = r.auxiliary.subclique, r.auxiliary.class_vertices
+    for field, forged in (("subclique", sub + (-1, -2, -3)),
+                          ("subclique", sub + (sub[0],)),
+                          ("subclique", sub + (9,)),
+                          ("class_vertices", cls + (-1,)),
+                          ("class_vertices", cls + (cls[0],))):
+        cert = dataclasses.replace(r.auxiliary, **{field: forged})
+        assert not verify_report(corrupt(r, auxiliary=cert)), (field, forged)
+
+    [_, r] = near_one_colored_reports(59, 5, 0, [path(26)])
+    assert verify_report(r)
+    rem = r.auxiliary.remainder
+    for forged in (rem + (-1,), rem[:-1] + (rem[0],),
+                   rem[:-1] + (rem[-1] - 59,), rem + (59,)):
+        cert = dataclasses.replace(r.auxiliary, remainder=forged)
+        assert not verify_report(corrupt(r, auxiliary=cert)), forged
+
+    # the unpicked d1 or d3 of a switcher, and an unpicked target of a
+    # leaf, renamed to the same vertex counted from the far end
+    k = random_coloring(59, 5, 0)
+    r = find_zero_sum_copy(path(26), k, 5, allow_fallback=False)
+    assert r.case_used == CASE_NONBUSHY_SWITCHABLE and verify_report(r)
+    spare = 0 if r.auxiliary.picks[0] == 1 else 2
+    for shift in (-59, 59):
+        quads = list(r.auxiliary.quads)
+        verts = list(quads[0].vertices)
+        verts[spare] += shift
+        quads[0] = SwitcherQuad(tuple(verts))
+        cert = dataclasses.replace(r.auxiliary, quads=tuple(quads))
+        assert not verify_report(corrupt(r, auxiliary=cert)), shift
+
+    r = find_zero_sum_copy(random_tree(26, seed=1), k, 5,
+                           allow_fallback=False)
+    assert r.case_used == CASE_BUSHY_VIBRANT and verify_report(r)
+    targets = r.auxiliary.targets
+    side = "same_color" if r.auxiliary.picks[0] == 1 else "other_color"
+    rows = [list(row) for row in getattr(targets, side)]
+    rows[0][0] -= 59
+    forged = dataclasses.replace(
+        targets, **{side: tuple(tuple(row) for row in rows)})
+    cert = dataclasses.replace(r.auxiliary, targets=forged)
+    assert not verify_report(corrupt(r, auxiliary=cert))
+
+
+def reference_monochromatic(r):
+    """The class check of a BushyNonvibrant certificate as scalar loops,
+    one k.value per vertex pair."""
+    f = r.embedding.pattern
+    k = r.embedding.host
+    p = k.modulus
+    cert = r.auxiliary
+    mp = r.embedding.mapping
+    cls = set(cert.class_vertices)
+    if not cls <= set(cert.subclique):
+        return False
+    if any(h not in cls for h in mp):
+        return False
+    for u, v in f.edges:
+        if k.value(mp[u], mp[v]) != cert.color.value:
+            return False
+    threshold = len(cert.subclique) - (3 * p - 4)
+    for v in cert.class_vertices:
+        cnt = sum(1 for u in cert.subclique
+                  if u != v and k.value(u, v) == cert.color.value)
+        if cnt < threshold:
+            return False
+    return True
+
+
+def reference_mono_subclique(r):
+    """The packing and remainder check of a NonbushyNonswitchable
+    certificate as scalar loops, one k.value per vertex pair."""
+    f = r.embedding.pattern
+    k = r.embedding.host
+    cert = r.auxiliary
+    if len(cert.removed_quads) > k.modulus - 2:
+        return False
+    removed = set()
+    for quad in cert.removed_quads:
+        verts = set(quad.vertices)
+        if (len(verts) != 4 or verts & removed
+                or not embedder._canonical_switcher_holds(k, quad)):
+            return False
+        removed |= verts
+    rem = set(cert.remainder)
+    if rem & removed or rem | removed != set(range(k.order)):
+        return False
+    if len(rem) < 5 or len(rem) < f.n:
+        return False
+    rem_sorted = sorted(rem)
+    for i, u in enumerate(rem_sorted):
+        for v in rem_sorted[i + 1:]:
+            if k.value(u, v) != cert.color.value:
+                return False
+    return all(h in rem for h in r.embedding.mapping)
+
+
+REFERENCE_CHECKS = {CASE_BUSHY_NONVIBRANT: reference_monochromatic,
+                    CASE_NONBUSHY_NONSWITCHABLE: reference_mono_subclique}
+
+
+def reference_verify(r):
+    try:
+        return (embedder._verify_common(r)
+                and REFERENCE_CHECKS[r.case_used](r))
+    except Exception:
+        return False
+
+
+def test_one_colored_checks_match_reference_loops():
+    """The array checks of the two one-colored certificates give the
+    scalar loops' verdict on the K_59 finds, on the near-one-colored hosts
+    of the p = 7, 11 and 13 finds, and on copies of each report mutated
+    to sit at and one below the class threshold or to carry a recolored
+    remainder edge."""
+    reports = [find_zero_sum_copy(f, k, p, allow_fallback=False)
+               for f, k, p in _k59_instances()]
+    for seed in range(3):
+        reports += near_one_colored_reports(59, 5, seed,
+                                            [random_tree(26, seed=1),
+                                             path(26)])
+    for p, n, order, hosts, paths in LARGE_PRIMES:
+        forests = (random_forest(n, len(paths), seed=p),
+                   forest_of_paths(paths))
+        for seed in range(hosts):
+            reports += near_one_colored_reports(order, p, seed, forests)
+    checked = Counter()
+    for r in reports:
+        if r.case_used == CASE_BUSHY_NONVIBRANT:
+            variants = (r, class_vertex_short_by(r, 0),
+                        class_vertex_short_by(r, 1))
+        elif r.case_used == CASE_NONBUSHY_NONSWITCHABLE:
+            variants = (r, remainder_edge_recolored(r))
+        else:
+            continue
+        for variant in variants:
+            assert verify_report(variant) == reference_verify(variant)
+        checked[r.case_used, r.embedding.host.order] += 1
+    assert set(checked) == {(case, order)
+                            for case in REFERENCE_CHECKS
+                            for order in (59, 125, 329, 467)}
 
 
 # --- seeded sweeps -----------------------------------------------------------
