@@ -13,7 +13,8 @@ must return exactly what the lexicographic sequential scan would.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from functools import partial
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -91,10 +92,15 @@ def vibrant_vertices(k: ColoredClique, p: int) -> list[ColorfulWitness]:
     that :func:`dominant_partition` reads too. The coloring is vibrant for
     p exactly when the list has >= p-1 entries.
     """
+    return _colorful_witnesses(k, p, _color_degrees(k))
+
+
+def _colorful_witnesses(k: ColoredClique, p: int, deg: np.ndarray
+                        ) -> list[ColorfulWitness]:
+    """:func:`vibrant_vertices` read from the color-degree table deg."""
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     b = 3 * p - 5
-    deg = _color_degrees(k)
     hit = (deg >= b) & (deg <= k.order - b - 1)
     vs = np.flatnonzero(hit.any(axis=1))
     cs = hit[vs].argmax(axis=1)
@@ -134,35 +140,109 @@ def _subset_switcher(k: ColoredClique, subset: Sequence[int]
     return None
 
 
-def _first_switcher(k: ColoredClique, free: Sequence[int]
+def _two_colored_matching(ab, ac, ad, bc, bd, cd):
+    """Whether one of the three perfect matchings of the 4-set {a, b, c, d}
+    has two colors, elementwise over arrays of edge colors.
+
+    At odd modulus this is exactly "the 4-set holds a switcher": a cycle
+    e1 e2 e3 e4 is no switcher when e1 + e2 = e3 + e4 and e2 + e3 = e4 + e1,
+    and subtracting the two gives 2(e1 - e3) = 0, so e1 = e3 and then
+    e2 = e4, since 2 is invertible. The three cycles of the 4-set so ask
+    for ab = cd, bc = ad and ac = bd. Colors lie in [0, m), so no residue
+    arithmetic is needed."""
+    return (ab != cd) | (ac != bd) | (ad != bc)
+
+
+def _unbalanced_pairing(m: int, ab, ac, ad, bc, bd, cd):
+    """Whether one of the three cycles of the 4-set {a, b, c, d} has
+    unequal pairing sums mod m, elementwise over arrays of edge colors:
+    the switcher test of :func:`_subset_switcher` at any modulus."""
+    ab, ac, ad, bc, bd, cd = (x.astype(np.int32)
+                              for x in (ab, ac, ad, bc, bd, cd))
+    hit = np.zeros(ab.shape, dtype=bool)
+    # the cycles a-b-c-d, a-b-d-c and a-c-b-d of _CYCLE_ORDERS as
+    # consecutive edges e1..e4, each with both pairings
+    for e1, e2, e3, e4 in ((ab, bc, cd, ad), (ab, bd, cd, ac),
+                           (ac, bc, bd, ad)):
+        hit |= (e1 + e2 - e3 - e4) % m != 0
+        hit |= (e2 + e3 - e4 - e1) % m != 0
+    return hit
+
+
+# A pass of the packing walk tests at most this many (c, d) pairs, the
+# 2^13-word budget of the oracle's passes
+_PASS_PAIRS = 1 << 13
+
+
+def _row_runs(n: int, a: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The rows (b, c) of the index quadruples a < b < c < d < n, row
+    (b, c) holding the n - 1 - c pairs (c, d), as two arrays in
+    lexicographic order and in runs of whole rows: each run holds at most
+    _PASS_PAIRS pairs, or one row if that row alone holds more, and ends
+    inside a b only when the rest of that b does not fit. A run may so
+    span several b."""
+    b, c = a + 1, a + 2
+    while b < n - 2:
+        segments = []  # (b, first c, rows) of this run
+        room = _PASS_PAIRS
+        while b < n - 2 and room > 0:
+            # rows (b, c), ..., (b, n - 2) hold left, left - 1, ..., 1 pairs
+            left = n - 1 - c
+            rows = left
+            if left * (left + 1) // 2 > room:
+                upto = np.cumsum(np.arange(left, 0, -1))
+                rows = int(np.searchsorted(upto, room, "right"))
+                if rows == 0 and segments:
+                    break
+                rows = max(rows, 1)
+            segments.append((b, c, rows))
+            room -= rows * left - rows * (rows - 1) // 2
+            c += rows
+            if c < n - 1:
+                break  # the run ends inside this b
+            b, c = b + 1, b + 2
+        yield (np.repeat([s[0] for s in segments], [s[2] for s in segments]),
+               np.concatenate([np.arange(c0, c0 + rows)
+                               for _, c0, rows in segments]))
+
+
+def _first_switcher(k: ColoredClique, free: np.ndarray
                     ) -> Optional[SwitcherQuad]:
     """The switcher in the lexicographically first 4-subset of the
-    ascending vertex list free that contains one, or None."""
-    n = len(free)
-    sub = k.matrix[np.ix_(free, free)].astype(np.int64)
-    ci, di = np.triu_indices(n, 1)
-    cd_all = sub[ci, di]
-    if n < 4 or (cd_all == cd_all[0]).all():
-        return None  # a one-colored clique has no switcher for any p
+    ascending vertex array free that contains one, or None.
+
+    Walks a in order, reads row a once and tests the pairs (c, d) of the
+    rows (b, c) of free indices in the runs of :func:`_row_runs`,
+    returning at the first run that holds a hit. Colors are read from the
+    flat matrix, at u * order + v for the edge uv."""
+    n, order = len(free), k.order
+    flat = k.matrix.reshape(-1)
+    if k.modulus % 2:
+        test = _two_colored_matching
+    else:
+        test = partial(_unbalanced_pairing, k.modulus)
     for a in range(n - 3):
-        for b in range(a + 1, n - 2):
-            # pairs (c, d) with b < c < d form a suffix of the triu order
-            off = (b + 1) * (n - 1) - b * (b + 1) // 2
-            c, d = ci[off:], di[off:]
-            ab, ac, ad = sub[a, b], sub[a, c], sub[a, d]
-            bc, bd, cd = sub[b, c], sub[b, d], cd_all[off:]
-            hit = np.zeros(len(c), dtype=bool)
-            # the cycles a-b-c-d, a-b-d-c and a-c-b-d of _CYCLE_ORDERS as
-            # consecutive edges e1..e4, each with both pairings
-            for e1, e2, e3, e4 in ((ab, bc, cd, ad), (ab, bd, cd, ac),
-                                   (ac, bc, bd, ad)):
-                hit |= (e1 + e2 - e3 - e4) % k.modulus != 0
-                hit |= (e2 + e3 - e4 - e1) % k.modulus != 0
+        row_a = flat[free[a] * order + free]
+        for b, c in _row_runs(n, a):
+            lens = n - 1 - c
+            ends = np.cumsum(lens)
+            d = np.arange(ends[-1]) + np.repeat(n - ends, lens)  # c < d < n
+            vd = free[d]
+            at_b, at_c = free[b] * order, free[c] * order
+            hit = test(np.repeat(row_a[b], lens), np.repeat(row_a[c], lens),
+                       row_a[d], np.repeat(flat[at_b + free[c]], lens),
+                       flat[np.repeat(at_b, lens) + vd],
+                       flat[np.repeat(at_c, lens) + vd])
             if hit.any():
-                j = int(np.argmax(hit))
-                return _subset_switcher(
-                    k, (free[a], free[b], free[c[j]], free[d[j]]))
+                j = int(hit.argmax())
+                r = int(np.searchsorted(ends, j, "right"))
+                return _subset_switcher(k, (int(free[a]), int(free[b[r]]),
+                                            int(free[c[r]]), int(vd[j])))
     return None
+
+
+# the six cells (i, j), i < j, of a 4 x 4 block: the edges of a 4-set
+_QUAD_EDGES = np.triu_indices(4, 1)
 
 
 def maximal_disjoint_switchers(k: ColoredClique, limit: int
@@ -176,17 +256,52 @@ def maximal_disjoint_switchers(k: ColoredClique, limit: int
     4-subsets. When the result is shorter than limit it is maximal: the
     vertices not used by it induce a switcher-free sub-clique.
 
-    Memory is O(N^2) and the scan stops after limit picks. A one-colored
-    remainder ends it at once, so a full scan runs only on a remainder
-    that is switcher-free but not one-colored; the paper rules that out
-    at odd p once at least 5 vertices remain, so in practice only p = 2
-    cut colorings pay for it.
+    A pick walks the free pairs (a, b) in order and tests the later pairs
+    (c, d) in passes of at most 2^13 pairs, returning at the first pass
+    with a hit, so its time is proportional to the number of 4-subsets
+    before its hit, rounded up to a pass. At odd modulus a 4-set holds a
+    switcher exactly when one of its perfect matchings is two-colored
+    (:func:`_two_colored_matching`); at even modulus the pairing sums are
+    compared mod m (:func:`_unbalanced_pairing`), because there the cut
+    colorings tell the two tests apart.
+
+    The packing keeps per-color edge counts over the free vertices, seeded
+    from the color-degree table and reduced by each pick's edges, and
+    stops at once when one color holds every free edge. So a full walk
+    runs only on a remainder that is switcher-free but not one-colored;
+    the paper rules that out at odd p once at least 5 vertices remain, so
+    in practice only p = 2 cut colorings pay for it. Memory is O(N m) for
+    the color-degree table (built in bands of about 2^17 cells) and
+    O(2^13) for a pass.
     """
+    return _packing(k, limit, _color_degrees(k))
+
+
+def _packing(k: ColoredClique, limit: int, deg: np.ndarray
+             ) -> list[SwitcherQuad]:
+    """:func:`maximal_disjoint_switchers` with its edge counts seeded from
+    the color-degree table deg."""
     out: list[SwitcherQuad] = []
-    free = list(range(k.order))
-    while len(out) < limit and (quad := _first_switcher(k, free)) is not None:
+    free = np.arange(k.order)
+    counts = deg.sum(axis=0) // 2  # each edge is counted at both ends
+    while len(out) < limit:
+        n = len(free)
+        if n < 4 or counts.max() == n * (n - 1) // 2:
+            break  # a one-colored clique has no switcher for any p
+        quad = _first_switcher(k, free)
+        if quad is None:
+            break
         out.append(quad)
-        free = [v for v in free if v not in quad.vertices]
+        if len(out) == limit:
+            break
+        q = np.array(quad.vertices)
+        keep = np.ones(n, dtype=bool)
+        keep[np.searchsorted(free, q)] = False
+        free = free[keep]
+        rows = k.matrix[q]
+        counts -= np.bincount(
+            np.concatenate((rows[:, free].ravel(), rows[:, q][_QUAD_EDGES])),
+            minlength=k.modulus)
     return out
 
 
@@ -210,10 +325,13 @@ class Classification:
 
 
 def classify(f: Forest, k: ColoredClique, p: int) -> Classification:
-    """The classification the four cases share, computed once."""
+    """The classification the four cases share, computed once; one
+    color-degree table serves the witnesses and the packing."""
+    deg = _color_degrees(k)
     return Classification(
-        p=p, bushy=is_bushy(f, p), witnesses=tuple(vibrant_vertices(k, p)),
-        switchers=tuple(maximal_disjoint_switchers(k, p - 1)))
+        p=p, bushy=is_bushy(f, p),
+        witnesses=tuple(_colorful_witnesses(k, p, deg)),
+        switchers=tuple(_packing(k, p - 1, deg)))
 
 
 def dominant_partition(k_prime: ColoredClique, p: int) -> DominantPartition:

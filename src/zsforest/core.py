@@ -268,8 +268,8 @@ def check_modulus(modulus: int) -> None:
 class ColoredClique:
     """A complete graph K_N with a total edge coloring by residues mod m.
 
-    Stored as its own read-only copy of a symmetric int16 matrix whose
-    entries, the unused diagonal included, lie in [0, modulus); the
+    Stored as its own read-only C-ordered copy of a symmetric int16 matrix
+    whose entries, the unused diagonal included, lie in [0, modulus); the
     constructor rejects any other matrix, so readers may take either
     orientation of an edge. The modulus may be composite; operations that
     require a prime check it themselves.
@@ -288,7 +288,7 @@ class ColoredClique:
             raise ValueError("color matrix must be symmetric")
         if raw.min() < 0 or raw.max() >= modulus:
             raise ValueError(f"colors must lie in [0,{modulus})")
-        m = raw.astype(np.int16)
+        m = np.array(raw, dtype=np.int16, order="C")
         m.flags.writeable = False
         self.order = order
         self.modulus = modulus

@@ -422,19 +422,19 @@ def _nonbushy_nonswitchable(f: Forest, k: ColoredClique, p: int,
         raise PreconditionFailed(
             f"remainder of {len(remainder)} vertices is too small to force "
             f"one-coloredness")
-    sub = k.matrix[np.ix_(remainder, remainder)]
-    iu = np.triu_indices(len(remainder), 1)
-    colors = np.unique(sub[iu])
-    if len(colors) != 1:
+    idx = np.array(remainder)
+    sub = k.matrix[idx][:, idx]
+    color = int(sub[0, 1])
+    if np.triu(sub != color, 1).any():
+        colors = len(set(sub[np.triu_indices(len(idx), 1)].tolist()))
         if p != 2:
             log.error(
                 "switcher-free remainder on %d vertices uses %d colors; "
                 "this contradicts the structural guarantee behind the "
                 "non-switchable case (remainder=%r)",
-                len(remainder), len(colors), remainder)
+                len(remainder), colors, remainder)
         raise MonochromaticityViolated(
-            f"switcher-free remainder carries {len(colors)} colors")
-    color = int(colors[0])
+            f"switcher-free remainder carries {colors} colors")
     _require_one_colored_zero(f, color, p)
     mapping = tuple(remainder[:f.n])
     emb = Embedding(pattern=f, host=k, mapping=mapping)

@@ -103,5 +103,8 @@ def iterated_sumset(sets: Iterable[Sequence[Residue]]) -> SumsetWitness:
     achievable = frozenset(choice)
     n = len(seqs)
     bound = min(p, sum(len(v) for v in levels) - n + 1)
-    assert len(achievable) >= bound, "sumset bound violated"
+    if len(achievable) < bound:
+        # Cauchy-Davenport: cannot happen for a prime modulus
+        raise RuntimeError(f"sumset bound violated: {len(achievable)} "
+                           f"residues reachable, at least {bound} promised")
     return SumsetWitness(modulus=p, achievable=achievable, choice=choice)

@@ -2,19 +2,22 @@
 read from one color-degree table and checked against a per-vertex Counter
 recount on random, near-one-colored, planted-dominant and nonzero-diagonal
 hosts, with the table's working set bounded at guarantee scale; the
-four-vertex switcher check with its canonical rotation; and greedy disjoint
-packings with their maximality certificate."""
+four-vertex switcher check with its canonical rotation, and the matching
+test that replaces it at odd moduli, checked on K_4; and greedy disjoint
+packings with their maximality certificate, checked against the whole-block
+walk they replace and with their working set bounded at guarantee scale."""
 
 import tracemalloc
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from zsforest import ColoredClique, Residue
+from zsforest import ColoredClique, Residue, classify
 from zsforest.classify import (ColorfulWitness, NoDominantColor, SwitcherQuad,
                                _quad_check, _subset_switcher,
+                               _two_colored_matching, _unbalanced_pairing,
                                dominant_partition, maximal_disjoint_switchers,
                                vibrant_vertices)
 from zsforest.randomgen import near_one_colored, random_coloring, splitmix64
@@ -325,6 +328,201 @@ def test_greedy_respects_limit_and_disjointness():
             for q in got:
                 assert not seen & set(q.vertices)
                 seen |= set(q.vertices)
+
+
+# ---------------------------------------------------------------------------
+# the matching test at odd moduli
+# ---------------------------------------------------------------------------
+
+K4_EDGES = list(combinations(range(4), 2))  # ab, ac, ad, bc, bd, cd
+
+
+def k4_switcher_verdicts(colorings, m):
+    """_subset_switcher's verdict on K_4 for each row of six edge colors,
+    given in the order of K4_EDGES."""
+    out = []
+    for row in colorings:
+        mat = np.zeros((4, 4), dtype=np.int16)
+        for (u, v), c in zip(K4_EDGES, row):
+            mat[u, v] = mat[v, u] = c
+        out.append(_subset_switcher(ColoredClique(4, m, mat), (0, 1, 2, 3))
+                   is not None)
+    return out
+
+
+@pytest.mark.parametrize("m", [3, 5])
+def test_matching_test_is_the_switcher_test_at_odd_moduli(m):
+    colorings = np.array(list(product(range(m), repeat=6)), dtype=np.int16)
+    got = _two_colored_matching(*colorings.T)
+    assert got.tolist() == k4_switcher_verdicts(colorings, m)
+    # switcher-free exactly when ab = cd, ac = bd and ad = bc
+    assert np.count_nonzero(~got) == m ** 3
+
+
+def test_matching_test_on_a_sample_at_modulus_9():
+    # 2 is a unit mod 9 though 9 is no prime; sample i copies ab, ac, ad
+    # onto cd, bd, bc as the bits of i % 8 say, so every eighth sample has
+    # no two-colored matching
+    stream = splitmix64(9)
+    rows = []
+    for i in range(20_000):
+        ab, ac, ad, bc, bd, cd = (next(stream) % 9 for _ in range(6))
+        cd = ab if i & 1 else cd
+        bd = ac if i & 2 else bd
+        bc = ad if i & 4 else bc
+        rows.append((ab, ac, ad, bc, bd, cd))
+    colorings = np.array(rows, dtype=np.int16)
+    got = _two_colored_matching(*colorings.T)
+    assert got.tolist() == k4_switcher_verdicts(colorings, 9)
+    assert np.count_nonzero(~got) >= 2_500
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_pairing_residue_test_is_the_switcher_test(m):
+    colorings = np.array(list(product(range(m), repeat=6)), dtype=np.int16)
+    assert (_unbalanced_pairing(m, *colorings.T).tolist()
+            == k4_switcher_verdicts(colorings, m))
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_cut_coloring_separates_the_tests_at_even_moduli(m):
+    # the cut {a} | {b, c, d} in color m/2: every cycle crosses it twice,
+    # so both pairing sums agree, yet the matching ab | cd is two-colored
+    row = np.array([m // 2] * 3 + [0] * 3, dtype=np.int16)
+    assert k4_switcher_verdicts([row], m) == [False]
+    assert not _unbalanced_pairing(m, *row[:, None])[0]
+    assert _two_colored_matching(*row)
+
+
+# ---------------------------------------------------------------------------
+# the packing walk against the whole-block walk it replaced
+# ---------------------------------------------------------------------------
+
+def reference_first_switcher(k, free):
+    """The pick as first written: the free submatrix gathered whole, every
+    later pair (c, d) of each (a, b) in one pass under the residue test of
+    all three cycles and both pairings."""
+    n = len(free)
+    sub = k.matrix[np.ix_(free, free)].astype(np.int64)
+    ci, di = np.triu_indices(n, 1)
+    cd_all = sub[ci, di]
+    if n < 4 or (cd_all == cd_all[0]).all():
+        return None
+    for a in range(n - 3):
+        for b in range(a + 1, n - 2):
+            off = (b + 1) * (n - 1) - b * (b + 1) // 2
+            c, d = ci[off:], di[off:]
+            ab, ac, ad = sub[a, b], sub[a, c], sub[a, d]
+            bc, bd, cd = sub[b, c], sub[b, d], cd_all[off:]
+            hit = np.zeros(len(c), dtype=bool)
+            for e1, e2, e3, e4 in ((ab, bc, cd, ad), (ab, bd, cd, ac),
+                                   (ac, bc, bd, ad)):
+                hit |= (e1 + e2 - e3 - e4) % k.modulus != 0
+                hit |= (e2 + e3 - e4 - e1) % k.modulus != 0
+            if hit.any():
+                j = int(np.argmax(hit))
+                return _subset_switcher(
+                    k, (free[a], free[b], free[c[j]], free[d[j]]))
+    return None
+
+
+def reference_packing(k, limit):
+    out = []
+    free = list(range(k.order))
+    while len(out) < limit and (
+            quad := reference_first_switcher(k, free)) is not None:
+        out.append(quad)
+        free = [v for v in free if v not in quad.vertices]
+    return out
+
+
+def assert_same_packing(k, limit):
+    got = maximal_disjoint_switchers(k, limit)
+    assert got == reference_packing(k, limit)
+    for quad in got:  # Python ints, so reprs and hashes stay the same
+        assert all(type(v) is int for v in quad.vertices)
+
+
+@pytest.mark.parametrize("p, order, seeds", [(3, 17, 24), (5, 59, 8),
+                                             (7, 125, 3), (13, 467, 1)])
+def test_packing_matches_the_whole_block_walk(p, order, seeds):
+    # guarantee-scale orders N = n + 9p - 12 with n = 3p^2 - 12p + 11;
+    # below p = 13 also the packing that runs until no switcher is left
+    for seed in range(seeds):
+        for kind in ("random", "near_mono", "diagonal"):
+            k = table_host(kind, p, order, 300 * p + seed)
+            for limit in (p - 1, order) if p < 13 else (p - 1,):
+                assert_same_packing(k, limit)
+
+
+def test_packing_of_cut_colorings_matches_the_whole_block_walk():
+    for order in (5, 9, 13, 22):
+        for step in (2, 3, 5, order):
+            k = cut_coloring(order, 2, [v % step == 0 for v in range(order)])
+            for limit in (1, order):
+                assert_same_packing(k, limit)
+        for seed in range(6):
+            assert_same_packing(random_coloring(order, 2, seed), order)
+
+
+def sparse_recoloring(order, m, seed):
+    """A one-colored K_order over Z_m with one to three edges recolored."""
+    stream = splitmix64(seed)
+    mat = np.full((order, order), next(stream) % m, dtype=np.int16)
+    np.fill_diagonal(mat, 0)
+    for _ in range(1 + next(stream) % 3):
+        u = next(stream) % order
+        v = (u + 1 + next(stream) % (order - 1)) % order
+        mat[u, v] = mat[v, u] = next(stream) % m
+    return ColoredClique(order, m, mat)
+
+
+@pytest.mark.parametrize("m", [4, 9])
+def test_packing_at_composite_moduli_matches_reference_greedy(m):
+    for i in range(40):
+        order = 4 + i % 9
+        for k in (random_coloring(order, m, 800 + i),
+                  sparse_recoloring(order, m, 800 + i)):
+            for limit in (1, 3, order):
+                assert (maximal_disjoint_switchers(k, limit)
+                        == reference_greedy(k, limit))
+
+
+def test_one_colored_remainder_ends_the_packing(monkeypatch):
+    # the per-color edge counts must see the remainder turn one-colored, so
+    # no walk runs after the last pick; the nonzero diagonals are no edges
+    walks = []
+
+    def counted(k, free, real=classify._first_switcher):
+        walks.append(len(free))
+        return real(k, free)
+
+    monkeypatch.setattr(classify, "_first_switcher", counted)
+    for p in (3, 5, 7):
+        for seed in range(6):
+            k = near_one_colored(8 * p, p, seed)
+            mat = k.matrix.copy()
+            np.fill_diagonal(mat, p - 1)
+            for host in (k, ColoredClique(k.order, p, mat)):
+                walks.clear()
+                got = maximal_disjoint_switchers(host, host.order)
+                assert got and len(walks) == len(got)
+
+
+def test_packing_working_set_is_bounded():
+    # near-one-colored K_1025 over Z_19, guarantee scale at p = 19: beside
+    # the color-degree table and one of its bands, only one pass of at
+    # most 2^13 pairs is live at a time; the whole-block walk peaked at
+    # 44 MiB here
+    k = near_one_colored(1025, 19, seed=1)
+    tracemalloc.start()
+    try:
+        got = maximal_disjoint_switchers(k, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got
+    assert peak < 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

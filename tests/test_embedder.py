@@ -3,7 +3,11 @@ order, and seeded soundness sweeps cross-checked against the oracle."""
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,8 +310,31 @@ def test_nonswitchable_cut_coloring_mod2():
     odd-p structure argument."""
     k = clique_with(6, 2, {(0, v): 1 for v in range(1, 6)})
     assert maximal_disjoint_switchers(k, 1) == []
-    with pytest.raises(MonochromaticityViolated):
+    with pytest.raises(MonochromaticityViolated,
+                       match="^switcher-free remainder carries 2 colors$"):
         embed_nonbushy_nonswitchable(path(5), k, 2)
+
+
+def test_nonswitchable_find_imports_no_masked_arrays():
+    # the first np.unique call of a process imports numpy.ma, which costs
+    # a one-shot find 14-17 ms; the one-colored remainder test compares
+    # against one color instead, so a fresh process never loads it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from zsforest import ColoredClique, find_zero_sum_copy\n"
+        "from zsforest.patterns import path\n"
+        "m = np.zeros((12, 12), dtype=np.int16)\n"
+        "m[:2, 2:6] = 1\n"
+        "m[2:6, :2] = 1\n"
+        "r = find_zero_sum_copy(path(7), ColoredClique(12, 3, m), 3)\n"
+        "print(r.case_used, 'numpy.ma' in sys.modules)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [CASE_NONBUSHY_NONSWITCHABLE, "False"]
 
 
 # --- dispatch ----------------------------------------------------------------

@@ -5,9 +5,10 @@ once), every top-level name of a package module is referenced somewhere
 in src/, tests/, bench/ or demos/, ``zsforest.__all__`` lists exactly
 the names the package ``__init__.py`` imports, every function it lists
 has a caller outside tests/ (a module of src/ other than ``__init__.py``,
-bench/ or demos/), and every name that
+bench/ or demos/), every name that
 bench/*.py imports from ``zsforest`` exists there, so a deletion under src/
-that would break the benchmark fails here first.
+that would break the benchmark fails here first, and the package holds no
+``assert`` statement, which ``python -O`` would strip.
 
 No linter is a project dependency, so these are small stdlib ``ast`` scans.
 ``from __future__`` imports are skipped, and so are the package
@@ -198,6 +199,31 @@ def test_all_lists_exactly_the_reexports():
     names = [ast.literal_eval(elt) for elt in listed.elts]
     assert len(names) == len(set(names)), "__all__ repeats a name"
     assert set(names) == imported
+
+
+def assert_statements(source: str) -> list[int]:
+    """The line of each ``assert`` statement, at any depth of the module."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Assert)]
+
+
+def test_assert_scanner_sees_nested_asserts():
+    source = (
+        "assert x\n"
+        "def f():\n"
+        "    if x:\n"
+        "        assert y, 'why'\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return 'assert z'\n")
+    assert assert_statements(source) == [1, 4]
+
+
+def test_package_has_no_assert_statements():
+    problems = [f"{path}:{line}"
+                for path, source in _modules(False, ("src/zsforest",))
+                for line in assert_statements(source)]
+    assert not problems, "assert in the package:\n" + "\n".join(problems)
 
 
 def zsforest_imports(source: str) -> list[tuple[str, str, int]]:
