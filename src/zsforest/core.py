@@ -311,7 +311,7 @@ class ColoredClique:
         if labels[0] < 0 or labels[-1] >= self.order:
             raise IndexOutOfRange("sub-clique vertex out of range")
         idx = np.array(labels)
-        sub = self.matrix[np.ix_(idx, idx)]
+        sub = self.matrix[idx][:, idx]  # faster than np.ix_ on small blocks
         return ColoredClique(len(labels), self.modulus, sub), labels
 
     def __eq__(self, other) -> bool:

@@ -36,29 +36,34 @@ pack, with no division. L is lowered until the two largest temporaries of
 that set-up fit in 2^13 words: one residue's bools over a block, k^L
 bytes, and one set's k² gathered masks, k²·k^L/64 words; so k^L ·
 max(k², 8) <= 2^19. On a 2-vCPU shared VM, P_4 in K_6 over Z_3 lists its
-copies in 0.06 ms and builds its masks in 0.5 ms.
+copies in 0.06 ms and builds its masks in 0.4 ms.
 
 An aligned block of k^L counters then needs the OR, over copies, of the
 mask its high sum selects, but only until all of its bits are set. Blocks
-go in batches, as many as 2^13 words hold as masks or as the m decoded
-digits of their starts, and a task, the unit of sharding and of checkpoint
-writes, is the rest of one batch. The copies come fewest low edges first.
-One with no low edge fills its block when its high sum is 0 and sets no
-bit otherwise, so those copies settle the batch on high digits alone: in
+go in batches, as many as 2^13 words hold as the m - L decoded high
+digits of their starts, and a task, the unit of sharding and of
+checkpoint writes, is one batch. Only a scan's first task is shorter: it
+runs to the end of a window of as many blocks as 2^13 words hold as mask
+rows or as all m digits, so a witness early in the space costs no more
+than that window. The copies come fewest low edges first. One with no
+low edge fills its block when its high sum is 0 and sets no bit
+otherwise, so those copies settle the task on high digits alone: in
 passes of doubling length, one integer per live block, they drop every
 block where one of them sums to 0. Only the blocks left get bitmask rows,
-and they take the copies with low edges in passes of doubling length,
-each block dropped as soon as it is full. So a settled block costs one
-integer per copy up to the first whose sum is 0, and a block left costs
-k^L/64 word operations per copy with low edges up to the one that fills
-it, not for all C. P_4 in K_6 over Z_3 has 180 copies, 14 with no low
-edge; they settle 2,157 of its 2,187 blocks, after 3.1 of them on average
-(median 2), and the other 30 blocks are full after 55 copies with low
-edges on average (worst 69). No gathered, set-up or decoded temporary
-holds more than 2^13 words (64 KB). Nothing is done per coloring in
-Python. On the same VM, that P_4 scan (3^15 colorings) takes 3 to 4 ms,
-and the reduced scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420
-copies, 78 with no low edge, every block settled) 35 to 60 ms.
+as many at a time as 2^13 words hold, in ascending order, and a task ends
+at the first such chunk with a counter missing. In a chunk, the blocks
+take the copies with low edges in passes of doubling length, each block
+dropped as soon as it is full. So a settled block costs one integer per
+copy up to the first whose sum is 0, and a block left costs k^L/64 word
+operations per copy with low edges up to the one that fills it, not for
+all C. P_4 in K_6 over Z_3 has 180 copies, 14 with no low edge; they
+settle 2,157 of its 2,187 blocks, after 3.1 of them on average (median
+2), and the other 30 blocks are full after 55 copies with low edges on
+average (worst 69). No gathered, set-up or decoded temporary holds more
+than 2^13 words (64 KB). Nothing is done per coloring in Python. On the
+same VM, that P_4 scan (3^15 colorings, 3 tasks) takes 1.5 to 2.2 ms, and
+the reduced scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420 copies, 78
+with no low edge, every block settled, 31 tasks) 7 to 8 ms.
 """
 
 from __future__ import annotations
@@ -271,18 +276,20 @@ class _Enumeration:
         return np.array(list(combinations_with_replacement(
             range(self.k), self.order - 1)), dtype=np.int16)
 
-    def colors_block(self, start: int, count: int, step: int = 1
-                     ) -> np.ndarray:
+    def colors_block(self, start: int, count: int, step: int = 1,
+                     digits: Optional[int] = None) -> np.ndarray:
         """Color digits of the counters start, start + step, ... (count of
-        them), shape (count, m)."""
+        them), shape (count, digits): those of the first ``digits`` edges,
+        all m by default; in reduced mode at least vertex 0's order - 1."""
+        digits = self.m if digits is None else digits
         idx = np.arange(start, start + count * step, step, dtype=np.int64)
-        out = np.empty((count, self.m), dtype=np.int16)
+        out = np.empty((count, digits), dtype=np.int16)
         lo = 0
         if self.reduce:
             lo = self.order - 1
             rank, idx = np.divmod(idx, self.suffix_size)
             out[:, :lo] = self.prefixes[rank]
-        out[:, lo:] = idx[:, None] // self.powers % self.k
+        out[:, lo:] = idx[:, None] // self.powers[:digits - lo] % self.k
         return out
 
     def coloring_at(self, counter: int) -> ColoredClique:
@@ -315,9 +322,14 @@ class _SplitScan:
     high sum is 0 and sets no bit otherwise, so they need no mask.
 
     _PASS_WORDS sizes everything: L is about m/2, lowered until the set-up's
-    temporaries fit in that many words, a batch is as many blocks as fit in
-    it, counting a block's mask words or the m digits of its start,
-    whichever is more, and a task is the rest of one batch.
+    temporaries fit in that many words; a batch is as many blocks as it
+    holds as the m - L decoded high digits of their starts; and the blocks
+    the settle leaves get mask rows in chunks of as many blocks as it holds
+    as mask words. A task is one batch, except the first of a scan, which
+    runs to the next multiple of a shorter window: as many blocks as
+    _PASS_WORDS holds as mask words or as all m digits of their starts,
+    whichever is more. So a scan whose witness lies early does no more work
+    than that window's.
     """
 
     def __init__(self, enum: _Enumeration, copies: np.ndarray):
@@ -394,60 +406,86 @@ class _SplitScan:
             masks[c0:c1] = acc
         self.masks = masks.reshape(-1, words)
 
-        # a batch's masks take words per block, and the digits of its
-        # block starts up to m words per block while they are decoded
-        self.batch = max(1, min(enum.total // self.block,
-                                _PASS_WORDS // max(words, m)))
+        # a batch is sized by the high digits of its block starts, split
+        # words per block while decoded, and a chunk by its mask rows; the
+        # first task's window by the mask rows or all m digits, whichever
+        # is more, so that an early witness stays cheap
+        blocks = enum.total // self.block
+        self.batch = max(1, min(blocks, _PASS_WORDS // max(split, 1)))
+        self.chunk = max(1, _PASS_WORDS // words)
+        self.first = max(1, min(blocks, _PASS_WORDS // max(words, m)))
 
     def tasks(self, start: int):
-        """(start, stop) ranges that run from start to the end of the space,
-        each the rest of one batch: it stops at the next multiple of
-        batch · block, or at the end.
+        """(start, stop) ranges that tile the space from start to its end.
+        The first stops at the next multiple of first · block; each later
+        one is a whole batch of blocks, the last cut at the end.
 
         A batch is as many blocks as one temporary of _PASS_WORDS words
-        holds, as masks or as the decoded digits of their starts, so at
-        most 2^19 counters; each task is one checkpoint write."""
-        unit = self.batch * self.block
-        pos = start
-        while pos < self.enum.total:
-            stop = min(self.enum.total, (pos // unit + 1) * unit)
+        holds as the decoded high digits of their starts; the first task's
+        window, as many as it holds as mask rows or as all m digits. Each
+        task is one checkpoint write."""
+        total = self.enum.total
+        window = self.first * self.block
+        pos, stop = start, (start // window + 1) * window
+        while pos < total:
+            stop = min(total, stop)
             yield pos, stop
-            pos = stop
+            pos, stop = stop, stop + self.batch * self.block
 
     def first_missing(self, start: int, stop: int) -> Optional[int]:
         """Lowest counter in [start, stop) whose coloring has no zero-sum
-        copy, or None. The range is a task: it lies inside one batch, and
-        ``stop`` is a multiple of the block length.
+        copy, or None. The range is a task: it holds at most a batch of
+        blocks, and ``stop`` is a multiple of the block length.
 
-        The blocks are first settled on their high digits: a copy with no
-        low edge fills its block when its high sum is 0 and sets no bit
-        otherwise, so those copies only drop blocks, in passes of one
-        integer per live block. The blocks left take the copies with low
-        edges in passes of words per block, and after each pass drop the
-        blocks with every bit set. Both kinds of pass double in length from
-        at least _MIN_PASS_WORDS entries, unless the copies run out, to at
-        most _PASS_WORDS.
+        Every block of the task is first settled on its high digits: a copy
+        with no low edge fills its block when its high sum is 0 and sets no
+        bit otherwise, so those copies only drop blocks, in passes of one
+        integer per live block. The blocks left get mask rows a chunk at a
+        time, in ascending order, and the first chunk with a missing
+        counter holds the answer.
         """
-        block, words, k = self.block, self.words, self.enum.k
-        ncopies = len(self.offsets)
+        block = self.block
         b0 = start // block
         nb = stop // block - b0
-        high = self.enum.colors_block(b0 * block, nb, block)[:, :self.split]
+        high = self.enum.colors_block(b0 * block, nb, block, self.split)
         live = np.arange(nb)  # the blocks with a bit still unset
         c0 = step = 0
         while c0 < self.settling:
             step = _pass_length(step, live.size)
             c1 = min(self.settling, c0 + step)
-            open_ = ((high @ self.high[:, c0:c1]) % k).all(axis=1)
+            open_ = ((high @ self.high[:, c0:c1]) % self.enum.k).all(axis=1)
             live, high = live[open_], high[open_]
             if not live.size:
                 return None
             c0 = c1
+        skip = start - b0 * block  # counters of block 0 before start
+        for i in range(0, live.size, self.chunk):
+            part = live[i:i + self.chunk]
+            found = self._first_unset(
+                part, high[i:i + self.chunk], skip if part[0] == 0 else 0)
+            if found is not None:
+                return b0 * block + found
+        return None
+
+    def _first_unset(self, live: np.ndarray, high: np.ndarray,
+                     skip: int) -> Optional[int]:
+        """Offset from the task's first block of the lowest counter of the
+        given blocks, open after the settle, whose coloring has no
+        zero-sum copy, or None; the first ``skip`` counters of the first
+        block count as having one.
+
+        The blocks take the copies with low edges in passes of words per
+        block, and after each pass drop the blocks with every bit set. The
+        passes double in length from at least _MIN_PASS_WORDS entries,
+        unless the copies run out, to at most _PASS_WORDS.
+        """
+        words, k = self.words, self.enum.k
+        ncopies = len(self.offsets)
         seen = np.empty((live.size, words), dtype=np.uint64)
         seen[:] = self.pad
-        if live[0] == 0 and b0 * block < start:  # resuming inside this block
-            seen[0] |= _pack(np.arange(words * 64) < start - b0 * block)
-        step = 0
+        if skip:  # resuming inside this block
+            seen[0] |= _pack(np.arange(words * 64) < skip)
+        c0, step = self.settling, 0
         while c0 < ncopies:
             step = _pass_length(step, live.size * words)
             c1 = min(ncopies, c0 + step)
@@ -467,7 +505,7 @@ class _SplitScan:
         b, w = divmod(int(missing[0]), words)
         bits = int(unseen[b, w])
         bit = (bits & -bits).bit_length() - 1
-        return (b0 + int(live[b])) * block + 64 * w + bit
+        return int(live[b]) * self.block + 64 * w + bit
 
 
 def _pass_length(step: int, row: int) -> int:
@@ -542,7 +580,9 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
     start = min(entries.get(fingerprint, 0), enum.total)
 
     def save(counter: int) -> None:
-        if checkpoint is not None:
+        # a scan that ends on its last task, or resumes a finished order,
+        # would write the file unchanged
+        if checkpoint is not None and entries.get(fingerprint) != counter:
             entries[fingerprint] = counter
             _write_entries(checkpoint, entries)
 

@@ -10,8 +10,9 @@ from zsforest import (ColoredClique, CyclicInput, DuplicateEdge, Embedding,
                       edge_sum, is_bushy, is_prime, select_degree2_triples,
                       select_leaf_families)
 from zsforest.patterns import forest_of_paths, matching, path, spider, star
-from zsforest.randomgen import (random_bushy_tree, random_coloring,
-                                random_forest, random_tree, splitmix64)
+from zsforest.randomgen import (near_one_colored, random_bushy_tree,
+                                random_coloring, random_forest, random_tree,
+                                splitmix64)
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +165,18 @@ def test_induced_subclique_relabels():
         for j, gj in enumerate(labels):
             if i != j:
                 assert sub.value(i, j) == c.value(gi, gj)
+
+
+def test_induced_matches_the_ix_gather():
+    rng = np.random.default_rng(11)
+    for host in (random_coloring(40, 7, seed=5), near_one_colored(40, 7, 5),
+                 random_coloring(9, 3, seed=0)):
+        for size in (1, 2, 3, 8, host.order):
+            labels = sorted(rng.choice(host.order, size, replace=False))
+            sub, got = host.induced(labels)
+            idx = np.array(labels)
+            assert got == tuple(labels)
+            assert np.array_equal(sub.matrix, host.matrix[np.ix_(idx, idx)])
 
 
 def test_embedding_validation():

@@ -6,7 +6,8 @@ import math
 import multiprocessing
 import os
 import tracemalloc
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (combinations, combinations_with_replacement, islice,
+                       permutations)
 
 import numpy as np
 import pytest
@@ -284,26 +285,125 @@ def test_split_digit_scan_with_two_jobs(tmp_path, monkeypatch):
     (path(3), 3, 80, False), (path(3), 6, 3, True)],
     ids=["P3-K3-Z80", "P3-K6-Z3-reduced"])
 def test_tasks_tile_the_space(g, order, k, reduce_symmetry):
-    # both spaces hold more than one batch: 80-counter blocks in batches of
-    # 4096, and 3^8-counter blocks in batches of 79
+    # both spaces hold more than the first task's window: 80-counter blocks
+    # in a window of 2730 of 6400, then batches of 4096, and 3^8-counter
+    # blocks in a window of 79 of 189, then batches of 189
     scan = oracle._SplitScan(_Enumeration(order, k, reduce_symmetry),
                              _subgraph_copies(g, order))
-    unit, total = scan.batch * scan.block, scan.enum.total
-    assert 1 < scan.block < unit < total
+    window, total = scan.first * scan.block, scan.enum.total
+    unit = scan.batch * scan.block
+    assert 1 < scan.block < window < total and window <= unit
     hit = np.concatenate([
         _reference_hits(g, order, k, reduce_symmetry, a,
-                        min(a + unit, total))[1]
-        for a in range(0, total, unit)])
-    for start in (0, scan.block + scan.block // 2, unit - 1):
+                        min(a + window, total))[1]
+        for a in range(0, total, window)])
+    for start in (0, scan.block + scan.block // 2, window - 1, window + 1):
         tasks = list(scan.tasks(start))
         bounds = [a for a, _ in tasks] + [tasks[-1][1]]
         assert bounds[0] == start and bounds[-1] == total
         assert [b for _, b in tasks] == bounds[1:]  # contiguous
-        for a, b in tasks:
-            assert a < b and a // unit == (b - 1) // unit  # one window
-            missing = np.flatnonzero(~hit[a:b])
-            want = a + int(missing[0]) if missing.size else None
-            assert scan.first_missing(a, b) == want, (start, a, b)
+        # the rest of one window, then whole batches, the last cut
+        assert tasks[0][1] == min(total, (start // window + 1) * window)
+        assert all(b - a == unit for a, b in tasks[1:-1])
+        assert len(tasks) == 1 or 0 < tasks[-1][1] - tasks[-1][0] <= unit
+        for chunk in (scan.chunk, 1):  # one chunk per surviving block too
+            scan.chunk = chunk
+            for a, b in tasks:
+                missing = np.flatnonzero(~hit[a:b])
+                want = a + int(missing[0]) if missing.size else None
+                assert scan.first_missing(a, b) == want, (start, a, b, chunk)
+
+
+def test_first_task_keeps_its_window(monkeypatch):
+    # a task is a batch of blocks, as many as 2^13 words hold as their high
+    # digits, but the first one of a scan runs to the end of a window of as
+    # many blocks as 2^13 words hold as mask rows or as all m digits
+    for g, order, k, reduce_symmetry, window in (
+            (path(4), 6, 3, False, 79), (matching(3), 7, 3, True, 26),
+            (matching(3), 8, 3, True, 26), (path(3), 3, 80, False, 2730)):
+        scan = oracle._SplitScan(_Enumeration(order, k, reduce_symmetry),
+                                 _subgraph_copies(g, order))
+        m = order * (order - 1) // 2
+        assert scan.first == window == (1 << 13) // max(scan.words, m)
+        assert scan.batch > window
+        unit = window * scan.block
+        total = scan.enum.total
+        for start in (0, 1, unit - 1, unit, 2 * unit + 7):
+            assert next(scan.tasks(start)) == (
+                start, min(total, (start // unit + 1) * unit))
+    # so the witness of 3K_2 at K_7 over Z_3, at counter 29,524, costs one
+    # window of 26 blocks of 3^9
+    calls = []
+    first_missing = oracle._SplitScan.first_missing
+
+    def counted(self, start, stop):
+        calls.append((start, stop))
+        return first_missing(self, start, stop)
+
+    monkeypatch.setattr(oracle._SplitScan, "first_missing", counted)
+    res = scan_colorings(matching(3), 7, 3, budget=10 ** 9,
+                         reduce_symmetry=True)
+    assert (res.witness_counter, res.colorings_checked) == (29_524, 29_525)
+    assert calls == [(0, 26 * 3 ** 9)]
+
+
+def _recorded_writes(monkeypatch) -> list:
+    """The entries of every checkpoint write from now on, in order."""
+    writes = []
+    write = oracle._write_entries
+
+    def recorded(path, entries):
+        writes.append(dict(entries))
+        write(path, entries)
+
+    monkeypatch.setattr(oracle, "_write_entries", recorded)
+    return writes
+
+
+def test_reduced_scan_takes_few_tasks(monkeypatch, tmp_path):
+    # reduced P_4 in K_7 over Z_3: 20,412 blocks of 3^9, all settled on
+    # their high digits; a window of 26, then batches of 682 (786 tasks
+    # when every task was a window), each task one checkpoint write
+    writes = _recorded_writes(monkeypatch)
+    scan = oracle._SplitScan(_Enumeration(7, 3, True),
+                             _subgraph_copies(path(4), 7))
+    tasks = list(scan.tasks(0))
+    assert len(tasks) <= 40
+    assert tasks[0] == (0, 26 * scan.block) and scan.batch == 682
+    assert all(b - a == 682 * scan.block for a, b in tasks[1:-1])
+    assert [b for _, b in tasks[:-1]] == [a for a, _ in tasks[1:]]
+    assert tasks[-1][1] == scan.enum.total
+    res = scan_colorings(path(4), 7, 3, budget=5 * 10 ** 8,
+                         reduce_symmetry=True,
+                         checkpoint=str(tmp_path / "scan.ckpt"))
+    assert res.unavoidable
+    assert res.colorings_checked == res.enumerated_space == 28 * 3 ** 15
+    assert [w.popitem()[1] for w in writes] == [b for _, b in tasks]
+
+
+def test_settle_survivors_beyond_one_chunk():
+    # no copy of 3K_2 lies in K_7's 10 high edges, so every block survives
+    # the settle, and the second task's 768 blocks of 2^11 over Z_2 take
+    # mask rows in three chunks of 256. Its only coloring with no zero-sum
+    # copy is the last one, all ones (3K_2 has three edges)
+    g = matching(3)
+    scan = oracle._SplitScan(_Enumeration(7, 2, False), _subgraph_copies(g, 7))
+    [_, (start, stop)] = list(scan.tasks(0))
+    assert scan.settling == 0
+    assert (stop - start) // scan.block == 768 == 3 * scan.chunk
+    hit = np.concatenate([
+        _reference_hits(g, 7, 2, False, a, min(stop, a + (1 << 18)))[1]
+        for a in range(start, stop, 1 << 18)])
+    assert np.flatnonzero(~hit).tolist() == [stop - 1 - start]
+    scan.first_missing(start, stop)  # first-call allocations stay out
+    tracemalloc.start()
+    try:
+        found = scan.first_missing(start, stop)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found == stop - 1 == 2 ** 21 - 1
+    assert peak < 3 << 17, peak  # 3/8 MiB
 
 
 def _scan_digest(budget):
@@ -374,13 +474,16 @@ def test_scan_working_set_is_bounded_at_large_moduli(g, order, k, witness):
 
 
 def test_settle_working_set_is_bounded():
-    # the first task of reduced P_7 in K_9 over Z_3: 26 blocks, and 11,808
-    # copies with no low edge, all taken by the settle. Word passes alone
-    # peaked at 191 KiB here, and one product over those copies at 1.2 MiB
+    # a whole batch of reduced P_7 in K_9 over Z_3: 303 blocks, as many as
+    # 2^13 words hold as their 27 high digits, and 11,808 copies with no
+    # low edge, all taken by the settle. On batches of 26 blocks, word
+    # passes alone peaked at 191 KiB here, and one product over those
+    # copies at 1.2 MiB
     scan = oracle._SplitScan(_Enumeration(9, 3, True),
                              _subgraph_copies(path(7), 9))
-    start, stop = next(scan.tasks(0))
-    assert (stop - start) // scan.block == scan.batch == 26
+    _, (start, stop) = islice(scan.tasks(0), 2)
+    assert (stop - start) // scan.block == scan.batch == 303
+    assert scan.batch == (1 << 13) // scan.split
     assert scan.settling == 11_808
     scan.first_missing(start, stop)  # first-call allocations stay out
     tracemalloc.start()
@@ -606,6 +709,28 @@ def test_checkpoint_rerun_after_finished_run(tmp_path):
             res = scan_colorings(g, order, k, checkpoint=cp)
             assert res.unavoidable == (order == plain.value)
         (tmp_path / "ramsey.ckpt").unlink()
+
+
+def test_checkpoint_skips_writes_that_change_nothing(tmp_path, monkeypatch):
+    # one write per task, and none that leaves the entry as it was: a
+    # finished one-task scan once, not twice, and its rerun never
+    writes = _recorded_writes(monkeypatch)
+    cp = tmp_path / "scan.ckpt"
+    assert len(_tasks(path(4), 5, 3, False)) == 1  # R(P_4, Z_3) = 5
+    for _ in range(2):
+        assert scan_colorings(path(4), 5, 3, checkpoint=str(cp)).unavoidable
+        assert len(writes) == 1
+    # a witness in the second task: its first task's end, then the witness;
+    # the rerun finds the same witness and writes nothing
+    writes.clear()
+    cp = tmp_path / "witness.ckpt"
+    fp = oracle._fingerprint(path(3), 6, 3, True)
+    for _ in range(2):
+        res = scan_colorings(path(3), 6, 3, reduce_symmetry=True,
+                             checkpoint=str(cp))
+        assert res.witness_counter == 619_770
+        assert [w[fp] for w in writes] == [79 * 3 ** 8, 619_770]
+    assert cp.read_text() == f"619770 {fp}\n"
 
 
 class _Interrupted(Exception):
