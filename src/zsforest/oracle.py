@@ -25,18 +25,22 @@ Cost of a scan over m = C(N,2) edges with C distinct copies of the pattern.
 The copies are listed with array operations, nothing per placement in
 Python: the distinct edge sets of the pattern's n! labelings on K_n form
 one table, one fancy index maps it onto every n-subset of K_N, and one
-lexsort orders the rows. The check splits the counter at its L low digits,
-L about m/2 and at most the suffix length under the reduction. Once per
-scan it builds k bitmasks of k^L bits for each distinct set of low edges
-among the copies, marking the low-digit rows where minus their sum is
-each residue; each set's masks are an AND/OR convolution of one bitmask
-per (low digit, value). Low digit j holds each value for k^(L-1-j) rows in
-turn, so each of those bitmasks is one strided fill of a bool row and one
-pack, with no division. L is lowered until the two largest temporaries of
-that set-up fit in 2^13 words: one residue's bools over a block, k^L
-bytes, and one set's k² gathered masks, k²·k^L/64 words; so k^L ·
-max(k², 8) <= 2^19. On a 2-vCPU shared VM, P_4 in K_6 over Z_3 lists its
-copies in 0.06 ms and builds its masks in 0.4 ms.
+lexsort orders the rows. :func:`compute_ramsey` lists that table once for
+all its orders, after the first order's budget check. The check splits
+the counter at its L low digits, L about m/2 and at most the suffix
+length under the reduction. On the first block that the settle below
+leaves, once per scan, it builds k bitmasks of k^L bits for each distinct
+set of low edges among the copies, marking the low-digit rows where minus
+their sum is each residue; each set's masks are an AND/OR convolution of
+one bitmask per (low digit, value). Low digit j holds each value for
+k^(L-1-j) rows in turn, so a digit's k bitmasks are one strided fill of k
+bool rows and one pack, with no division (in groups of rows, where k rows
+would pass 2^13 words). L is lowered until the two
+largest temporaries of that set-up fit in 2^13 words: one residue's bools
+over a block, k^L bytes, and one set's k² gathered masks, k²·k^L/64
+words; so k^L · max(k², 8) <= 2^19. A scan whose settle decides every
+block builds no masks. On a 2-vCPU shared VM, P_4 in K_6 over Z_3 lists
+its copies in 0.07 ms and builds its masks in 0.35 ms.
 
 An aligned block of k^L counters then needs the OR, over copies, of the
 mask its high sum selects, but only until all of its bits are set. Blocks
@@ -61,9 +65,11 @@ settle 2,157 of its 2,187 blocks, after 3.1 of them on average (median
 2), and the other 30 blocks are full after 55 copies with low edges on
 average (worst 69). No gathered, set-up or decoded temporary holds more
 than 2^13 words (64 KB). Nothing is done per coloring in Python. On the
-same VM, that P_4 scan (3^15 colorings, 3 tasks) takes 1.5 to 2.2 ms, and
-the reduced scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420 copies, 78
-with no low edge, every block settled, 31 tasks) 7 to 8 ms.
+same VM, that P_4 scan (3^15 colorings, 3 tasks) takes 1.3 to 1.4 ms; the
+scan of K_{1,3} in K_6 over Z_3, whose settle decides every block, 0.4
+ms; and the reduced scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420
+copies, 78 with no low edge, every block settled, 31 tasks) 4.8 to 4.9
+ms.
 """
 
 from __future__ import annotations
@@ -74,7 +80,8 @@ import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import (chain, combinations, combinations_with_replacement,
+                       islice, permutations)
 from typing import Optional
 
 import numpy as np
@@ -86,6 +93,7 @@ DEFAULT_BUDGET = 20_000_000
 _PASS_WORDS = 1 << 13  # most 64-bit words in one temporary, 64 KB
 _MIN_PASS_WORDS = 1 << 12  # a shorter pass costs more in calls than in work
 _FULL = np.uint64(2 ** 64 - 1)
+_CHUNK_TASKS = 64  # tasks in one message to a worker, after a scan's first
 
 
 class BudgetExceeded(ZeroSumError):
@@ -186,19 +194,10 @@ def _lex_sorted(rows: np.ndarray) -> np.ndarray:
     return rows[np.lexsort(rows.T[::-1])]
 
 
-def _subgraph_copies(g: SimpleGraph, order: int) -> np.ndarray:
-    """Distinct edge-index sets of all copies of g inside K_order: one
-    sorted row per copy, rows in lexicographic order.
-
-    Copies with identical edge sets (automorphic images) are one row; the
-    sum over a copy depends only on its edge set. The distinct edge sets of
-    g's n! labelings on K_n are listed once, and every n-subset of K_order
-    maps that table onto its own edges with one fancy index. An ascending
-    subset maps K_n's edge order onto K_order's, so the rows stay sorted.
-    g has no isolated vertices, so a copy's vertices are its subset, and
-    copies from different subsets never coincide. The table takes n! rows
-    of work; the mapping, a few arrays no larger than the output.
-    """
+def _labeling_table(g: SimpleGraph) -> np.ndarray:
+    """The distinct edge sets of g's n! labelings on K_n: one sorted row of
+    K_n edge indices per set, rows in lexicographic order. It takes n! rows
+    of work, so :func:`compute_ramsey` lists it once for all its orders."""
     n = g.n
     u, v = np.array(g.sorted_edges()).T
     perms = np.fromiter(permutations(range(n)), dtype=(np.int64, n),
@@ -206,7 +205,26 @@ def _subgraph_copies(g: SimpleGraph, order: int) -> np.ndarray:
     a, b = perms[:, u], perms[:, v]
     rows = _lex_sorted(np.sort(
         _edge_index(np.minimum(a, b), np.maximum(a, b), n), axis=1))
-    table = rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+    return rows[np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)]]
+
+
+def _subgraph_copies(g: SimpleGraph, order: int,
+                     table: Optional[np.ndarray] = None) -> np.ndarray:
+    """Distinct edge-index sets of all copies of g inside K_order: one
+    sorted row per copy, rows in lexicographic order. ``table`` is g's
+    labeling table, listed here when not given.
+
+    Copies with identical edge sets (automorphic images) are one row; the
+    sum over a copy depends only on its edge set. Every n-subset of K_order
+    maps the labeling table onto its own edges with one fancy index. An
+    ascending subset maps K_n's edge order onto K_order's, so the rows stay
+    sorted. g has no isolated vertices, so a copy's vertices are its
+    subset, and copies from different subsets never coincide. The mapping
+    takes a few arrays no larger than the output.
+    """
+    n = g.n
+    if table is None:
+        table = _labeling_table(g)
     subsets = np.fromiter(combinations(range(order), n), dtype=(np.int64, n),
                           count=math.comb(order, n))
     a, b = np.array(list(combinations(range(n), 2))).T  # K_n's edges
@@ -305,6 +323,38 @@ def _pack(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1, bitorder="little").view("<u8")
 
 
+def _digit_masks(k: int, low: int, words: int) -> np.ndarray:
+    """Bitmask of (low digit j, r) over the k^low rows of a block: the rows
+    where minus digit j is r. Row ``low`` is an extra digit that is always
+    0 and stands in for a copy's high edges. No mask has the rows past the
+    end of a block.
+
+    Digit j holds each value for k^(low-1-j) rows in turn, so the rows
+    where it is c are runs of that length, one every k runs, starting at
+    run c. One strided view over the bool rows of all k values takes every
+    such run of a digit at once, and one pack turns them into masks; values
+    go in groups of as many as fit their bools in _PASS_WORDS words.
+    """
+    block = k ** low
+    masks = np.zeros((low + 1, k, words), dtype=np.uint64)
+    group = max(1, min(k, _PASS_WORDS // (8 * words)))
+    bits = np.zeros((group, 64 * words), dtype=bool)
+    bits[0, :block] = True
+    masks[low, 0] = _pack(bits[0])
+    minus = -np.arange(k) % k
+    for j in range(low):
+        run = k ** (low - 1 - j)
+        for c0 in range(0, k, group):
+            n = min(group, k - c0)
+            bits[:n] = False
+            # row i of bits takes value c0 + i: its runs start at
+            # (c0 + i)·run and repeat every k·run rows
+            np.ndarray((n, k ** j, run), bool, bits, c0 * run,
+                       (bits.strides[0] + run, k * run, 1))[:] = True
+            masks[j, minus[c0:c0 + n]] = _pack(bits[:n])
+    return masks
+
+
 class _SplitScan:
     """The zero-sum check over counter ranges of one coloring space, split
     at the low digits.
@@ -319,7 +369,9 @@ class _SplitScan:
     the copies after that cost it nothing. The copies with the fewest low
     edges come first; OR does not depend on the order. The first
     ``settling`` of them have no low edge: each fills its block when its
-    high sum is 0 and sets no bit otherwise, so they need no mask.
+    high sum is 0 and sets no bit otherwise, so they need no mask. The
+    masks are built on the first block the settle leaves, once per scan
+    object, so a scan whose settle decides every block builds none.
 
     _PASS_WORDS sizes everything: L is about m/2, lowered until the set-up's
     temporaries fit in that many words; a batch is as many blocks as it
@@ -346,7 +398,7 @@ class _SplitScan:
         self.words = words = -(-self.block // 64)
         lows = (copies >= split).sum(axis=1)
         order = np.argsort(lows, kind="stable")
-        copies = copies[order]
+        self.copies = copies = copies[order]
         ncopies = len(copies)
         # the copies with no low edge, which come first
         self.settling = int(np.count_nonzero(lows == 0))
@@ -355,56 +407,6 @@ class _SplitScan:
                              if split * (k - 1) < 1 << 15 else np.int32)
         incidence[copies, np.arange(ncopies)[:, None]] = 1
         self.high = incidence[:split]
-        # copies with the same low edges share their masks; in a copy's
-        # edge list, -1 stands for a high edge and indexes the last digit
-        # row below
-        index: dict[tuple, int] = {}
-        edge_lists = np.maximum(copies - split, -1).tolist()
-        which = [index.setdefault(tuple(e), len(index)) for e in edge_lists]
-        self.offsets = np.array(which) * k
-        keys = list(index)
-        sets = np.array(keys)
-
-        # bitmask of (low digit, r): the rows where minus that digit is r.
-        # Digit j holds each value for k^(low-1-j) rows in turn, so the
-        # rows where it is c are column c of the block viewed as
-        # (k^low / (k·k^(low-1-j)), k, k^(low-1-j)); one residue at a time
-        # keeps the bools within _PASS_WORDS words. The last digit is
-        # always 0 and stands in for a copy's high edges. No mask has the
-        # rows past the end of a block.
-        digit_masks = np.zeros((low + 1, k, words), dtype=np.uint64)
-        bits = np.zeros(64 * words, dtype=bool)
-        bits[:self.block] = True
-        digit_masks[low, 0] = _pack(bits)
-        for j in range(low):
-            cycles = bits[:self.block].reshape(-1, k, k ** (low - 1 - j))
-            for c in range(k):
-                bits[:] = False
-                cycles[:, c] = True
-                digit_masks[j, -c % k] = _pack(bits)
-        # set so that the rows past the end of a block never look missing
-        self.pad = ~digit_masks[low, 0]
-        # residue s of a sum of two terms: the OR over r of (first term is
-        # s - r) AND (second term is r); a negative index s - r counts
-        # from the end, so it picks residue s - r + k. Only a set with two
-        # low edges has a second term, so only L >= 2 needs the table.
-        if low >= 2:
-            shift = np.subtract.outer(np.arange(k), np.arange(k))
-        edges = sets.shape[1]
-        masks = np.empty((len(sets), k, words), dtype=np.uint64)
-        step = max(1, _PASS_WORDS // (k * k * words))
-        for c0 in range(0, len(sets), step):
-            # a copy's high edges come first, and the last set of a pass
-            # has the most low edges, so the columns before its first low
-            # edge hold the always-0 digit for every set of the pass
-            c1 = min(len(sets), c0 + step)
-            part = sets[c0:c1, min(keys[c1 - 1].count(-1), edges - 1):]
-            acc = digit_masks[part[:, 0]]
-            for slot in part[:, 1:].T:
-                acc = np.bitwise_or.reduce(
-                    acc[:, shift] & digit_masks[slot, None], axis=2)
-            masks[c0:c1] = acc
-        self.masks = masks.reshape(-1, words)
 
         # a batch is sized by the high digits of its block starts, split
         # words per block while decoded, and a chunk by its mask rows; the
@@ -414,6 +416,57 @@ class _SplitScan:
         self.batch = max(1, min(blocks, _PASS_WORDS // max(split, 1)))
         self.chunk = max(1, _PASS_WORDS // words)
         self.first = max(1, min(blocks, _PASS_WORDS // max(words, m)))
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offsets, masks, pad): each copy's first mask row; k mask rows
+        per distinct set of low edges, one per residue; and the bits past
+        the end of a block, set so that they never look missing."""
+        k, split, words = self.enum.k, self.split, self.words
+        low = self.enum.m - split
+        # copies with the same low edges share their masks, numbered in
+        # order of first use, so the sets come fewest low edges first. In
+        # a copy's edge list, -1 stands for a high edge and indexes the
+        # always-0 digit; the dict keys each list by its bytes
+        lists = np.maximum(self.copies - split, -1)
+        edges = lists.shape[1]
+        index: dict[bytes, int] = {}
+        which = [index.setdefault(key, len(index)) for key in
+                 lists.view(np.dtype((np.void, lists.itemsize * edges)))
+                 .ravel().tolist()]
+        sets = np.frombuffer(b"".join(index), dtype=lists.dtype)
+        sets = sets.reshape(-1, edges)
+        digit_masks = _digit_masks(k, low, words)
+        # residue s of a sum of two terms: the OR over r of (first term is
+        # s - r) AND (second term is r); a negative index s - r counts
+        # from the end, so it picks residue s - r + k. Only a set with two
+        # low edges has a second term, so only L >= 2 needs the table.
+        if low >= 2:
+            shift = np.subtract.outer(np.arange(k), np.arange(k))
+        masks = np.empty((len(sets), k, words), dtype=np.uint64)
+        step = max(1, _PASS_WORDS // (k * k * words))
+        for c0 in range(0, len(sets), step):
+            # a copy's high edges come first, and the last set of a pass
+            # has the most low edges, so the columns before its first low
+            # edge hold the always-0 digit for every set of the pass
+            c1 = min(len(sets), c0 + step)
+            highs = np.count_nonzero(sets[c1 - 1] < 0)
+            part = sets[c0:c1, min(highs, edges - 1):]
+            acc = digit_masks[part[:, 0]]
+            for slot in part[:, 1:].T:
+                acc = np.bitwise_or.reduce(
+                    acc[:, shift] & digit_masks[slot, None], axis=2)
+            masks[c0:c1] = acc
+        return (np.array(which) * k, masks.reshape(-1, words),
+                ~digit_masks[low, 0])
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def masks(self) -> np.ndarray:
+        return self._rows[1]
 
     def tasks(self, start: int):
         """(start, stop) ranges that tile the space from start to its end.
@@ -480,9 +533,10 @@ class _SplitScan:
         unless the copies run out, to at most _PASS_WORDS.
         """
         words, k = self.words, self.enum.k
-        ncopies = len(self.offsets)
+        offsets, masks, pad = self._rows
+        ncopies = len(offsets)
         seen = np.empty((live.size, words), dtype=np.uint64)
-        seen[:] = self.pad
+        seen[:] = pad
         if skip:  # resuming inside this block
             seen[0] |= _pack(np.arange(words * 64) < skip)
         c0, step = self.settling, 0
@@ -490,8 +544,8 @@ class _SplitScan:
             step = _pass_length(step, live.size * words)
             c1 = min(ncopies, c0 + step)
             # mask row of (the copy's low edges, its high sum)
-            picks = (high @ self.high[:, c0:c1]) % k + self.offsets[c0:c1]
-            seen |= np.bitwise_or.reduce(self.masks[picks], axis=1)
+            picks = (high @ self.high[:, c0:c1]) % k + offsets[c0:c1]
+            seen |= np.bitwise_or.reduce(masks[picks], axis=1)
             c0 = c1
             if c0 < ncopies:
                 open_ = np.bitwise_and.reduce(seen, axis=1) != _FULL
@@ -546,8 +600,9 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
     """Decide whether every Z_k coloring of K_order has a zero-sum copy of g.
 
     With jobs > 1 the scan is sharded over min(jobs, os.cpu_count())
-    worker processes; jobs below 1 raise ValueError. Counterexamples are
-    reported at their lowest counter regardless of the jobs setting:
+    worker processes; jobs below 1 raise ValueError. The first task goes
+    to a worker alone, the rest in chunks of _CHUNK_TASKS. Counterexamples
+    are reported at their lowest counter regardless of the jobs setting:
     sharded tasks are consumed in submission order and the scan stops at
     the first task containing a witness.
 
@@ -557,7 +612,17 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
     resumes from its order's entry, and raises CheckpointMismatch on an
     entry written for another pattern, modulus or reduction mode.
     """
-    g = _scan_args(g, k, jobs)
+    return _scan(_scan_args(g, k, jobs), order, k, budget, reduce_symmetry,
+                 jobs, checkpoint, None)[0]
+
+
+def _scan(g: SimpleGraph, order: int, k: int, budget: int,
+          reduce_symmetry: bool, jobs: int, checkpoint: Optional[str],
+          table: Optional[np.ndarray]
+          ) -> tuple[ScanResult, Optional[np.ndarray]]:
+    """:func:`scan_colorings` on checked arguments, with g's labeling
+    table if an earlier order listed it. Returns the result and the table,
+    which is listed here when it is None and the space fits the budget."""
     enum = _Enumeration(order, k, reduce_symmetry)
     budget = min(budget, np.iinfo(np.int64).max)  # counters are int64
     if enum.total > budget:
@@ -566,7 +631,7 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
 
     if g.n > order:
         # no injective placement exists; the all-zero coloring is a witness
-        return ScanResult(False, 0, enum.coloring_at(0), 0, enum.total)
+        return ScanResult(False, 0, enum.coloring_at(0), 0, enum.total), table
 
     fingerprint = (None if checkpoint is None
                    else _fingerprint(g, order, k, enum.reduce))
@@ -586,18 +651,26 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
             entries[fingerprint] = counter
             _write_entries(checkpoint, entries)
 
-    scan = _SplitScan(enum, _subgraph_copies(g, order))
-    jobs = min(jobs, os.cpu_count() or 1)  # the scan is CPU-bound
+    if table is None:
+        table = _labeling_table(g)
+    scan = _SplitScan(enum, _subgraph_copies(g, order, table))
+    tasks = scan.tasks(start)
+    if jobs > 1:
+        jobs = min(jobs, os.cpu_count() or 1)  # the scan is CPU-bound
     if jobs <= 1:
         pool = nullcontext()
         results = ((task_start, stop, scan.first_missing(task_start, stop))
-                   for task_start, stop in scan.tasks(start))
+                   for task_start, stop in tasks)
     else:
         import multiprocessing
 
         pool = multiprocessing.Pool(jobs, initializer=_init_worker,
                                     initargs=(scan,))
-        results = pool.imap(_run_task, scan.tasks(start))
+        # the first task goes alone, so that a witness in it costs one
+        # window; the rest go _CHUNK_TASKS to a message, so that passing
+        # tasks and results does not keep the parent process busy
+        results = chain(pool.imap(_run_task, list(islice(tasks, 1))),
+                        pool.imap(_run_task, tasks, _CHUNK_TASKS))
     checked = 0
     witness_counter: Optional[int] = None
     with pool:  # leaving it terminates the workers, also after a witness
@@ -612,9 +685,9 @@ def scan_colorings(g: SimpleGraph, order: int, k: int,
 
     if witness_counter is None:
         save(enum.total)
-        return ScanResult(True, None, None, checked, enum.total)
+        return ScanResult(True, None, None, checked, enum.total), table
     return ScanResult(False, witness_counter, enum.coloring_at(witness_counter),
-                      checked, enum.total)
+                      checked, enum.total), table
 
 
 @dataclass(frozen=True)
@@ -647,11 +720,11 @@ def compute_ramsey(g: SimpleGraph, k: int, max_n: int,
 
     checked = 0
     prev_witness: Optional[ColoredClique] = None
+    table = None  # g's labeling table, listed by the first order scanned
     for order in range(g.n, max_n + 1):
         try:
-            res = scan_colorings(g, order, k, budget,
-                                 reduce_symmetry=reduce_symmetry, jobs=jobs,
-                                 checkpoint=checkpoint)
+            res, table = _scan(g, order, k, budget, reduce_symmetry, jobs,
+                               checkpoint, table)
         except BudgetExceeded:
             return RamseyResult(g, k, None, "budget", None, checked)
         checked += res.colorings_checked

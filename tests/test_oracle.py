@@ -4,6 +4,7 @@ the backtracker and the block scan, checkpointing, budgets, closed forms."""
 import hashlib
 import math
 import multiprocessing
+import multiprocessing.pool
 import os
 import tracemalloc
 from itertools import (combinations, combinations_with_replacement, islice,
@@ -248,8 +249,23 @@ def _tasks(g, order, k, reduce_symmetry, start=0):
     return list(scan.tasks(start))
 
 
+class _RecordingPool(multiprocessing.pool.Pool):
+    """A pool that records, for each ``imap`` call, its chunk size and
+    its tasks when they come as a list."""
+
+    calls: list = []
+
+    def imap(self, func, iterable, chunksize=1):
+        self.calls.append(
+            (chunksize, iterable if isinstance(iterable, list) else None))
+        return super().imap(func, iterable, chunksize)
+
+
 def test_split_digit_scan_with_two_jobs(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so jobs=2 starts a pool
+    calls = []
+    monkeypatch.setattr(_RecordingPool, "calls", calls)
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
     # each scan spans at least two tasks, so both workers get one.
     # K_{1,3} over Z_2 (odd edge count) is avoidable only by its last
     # coloring, all ones, so the K_7 scan runs through all of its tasks
@@ -274,11 +290,15 @@ def test_split_digit_scan_with_two_jobs(tmp_path, monkeypatch):
             cp = tmp_path / f"scan{i}-{jobs}.ckpt"
             _write_entries(str(cp), {oracle._fingerprint(
                 g, order, k, reduce_symmetry): resume})
+            calls.clear()
             res = scan_colorings(g, order, k, reduce_symmetry=reduce_symmetry,
                                  jobs=jobs, checkpoint=str(cp))
             _agrees(res, ref, order)
             files.append(cp.read_bytes())
         assert files[0] == files[1]
+        # with two jobs the first task goes alone, then the rest in chunks
+        first = _tasks(g, order, k, reduce_symmetry, resume)[0]
+        assert calls == [(1, [first]), (oracle._CHUNK_TASKS, None)]
 
 
 @pytest.mark.parametrize("g, order, k, reduce_symmetry", [
@@ -406,16 +426,52 @@ def test_settle_survivors_beyond_one_chunk():
     assert peak < 3 << 17, peak  # 3/8 MiB
 
 
+def _counted(monkeypatch, name) -> list:
+    """The arguments of every call of oracle.<name> from now on."""
+    calls = []
+    func = getattr(oracle, name)
+
+    def counted(*args):
+        calls.append(args)
+        return func(*args)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
+def test_mask_rows_are_built_lazily_and_once(monkeypatch):
+    builds = _counted(monkeypatch, "_digit_masks")
+    # the settle decides every block of these scans, so they build no
+    # mask rows: K_{1,3} in K_6 over Z_3, and reduced P_4 in K_7 over Z_3
+    assert scan_colorings(star(3), 6, 3).unavoidable
+    assert scan_colorings(path(4), 7, 3, budget=5 * 10 ** 8,
+                          reduce_symmetry=True).unavoidable
+    assert builds == []
+    # every block of 3K_2 in K_7 over Z_2 survives the settle: its two
+    # tasks and the second task's three chunks share one build
+    g = matching(3)
+    scan = oracle._SplitScan(_Enumeration(7, 2, False), _subgraph_copies(g, 7))
+    tasks = list(scan.tasks(0))
+    assert len(tasks) == 2 and scan.settling == 0
+    assert [scan.first_missing(a, b) for a, b in tasks] == [None, 2 ** 21 - 1]
+    assert len(builds) == 1
+    res = scan_colorings(g, 7, 2)
+    assert res.witness_counter == 2 ** 21 - 1
+    assert len(builds) == 2
+
+
+SCAN_PATTERNS = (("C4", C4), ("2K2", matching(2)), ("P3", path(3)),
+                 ("P4", path(4)), ("P5", path(5)), ("K13", star(3)),
+                 ("K14", star(4)))
+
+
 def _scan_digest(budget):
     """sha256 over every field of each ScanResult of a fixed corpus: seven
     patterns over Z_2 to Z_5 at orders 2 to 8, plain and reduced, wherever
     the space fits the budget."""
-    patterns = (("C4", C4), ("2K2", matching(2)), ("P3", path(3)),
-                ("P4", path(4)), ("P5", path(5)), ("K13", star(3)),
-                ("K14", star(4)))
     h = hashlib.sha256()
     scans = 0
-    for name, g in patterns:
+    for name, g in SCAN_PATTERNS:
         for k in range(2, 6):
             for order in range(2, 9):
                 for reduce_symmetry in (False, True):
@@ -431,6 +487,48 @@ def _scan_digest(budget):
                                    res.enumerated_space, witness)).encode())
                     scans += 1
     return scans, h.hexdigest()
+
+
+def test_compute_ramsey_lists_the_table_once(monkeypatch):
+    # compute_ramsey lists the pattern's labeling table once for all its
+    # orders, and only once an order fits the budget; its value, witness
+    # and count equal those of separate scans of each order
+    tables = _counted(monkeypatch, "_labeling_table")
+    budget, max_n = 10 ** 6, 8
+    for k in (2, 3):
+        for name, g in SCAN_PATTERNS:
+            if g.edge_count % k:
+                continue
+            for reduce_symmetry in (False, True):
+                tables.clear()
+                got = compute_ramsey(g, k, max_n, budget,
+                                     reduce_symmetry=reduce_symmetry)
+                assert len(tables) == 1, (name, k)
+                value, limit, checked = None, "max_n", 0
+                witness = ColoredClique(g.n - 1, k, np.zeros(
+                    (g.n - 1, g.n - 1), dtype=np.int16))
+                for order in range(g.n, max_n + 1):
+                    try:
+                        res = scan_colorings(g, order, k, budget,
+                                             reduce_symmetry=reduce_symmetry)
+                    except BudgetExceeded:
+                        value, limit, witness = None, "budget", None
+                        break
+                    checked += res.colorings_checked
+                    if res.unavoidable:
+                        value, limit = order, None
+                        break
+                    witness = res.witness
+                assert (got.value, got.limit, got.colorings_checked) == (
+                    value, limit, checked), (name, k, reduce_symmetry)
+                if witness is None:
+                    assert got.witness_coloring is None
+                else:
+                    assert np.array_equal(got.witness_coloring.matrix,
+                                          witness.matrix)
+    tables.clear()
+    assert compute_ramsey(path(4), 3, 8, budget=10).limit == "budget"
+    assert tables == []  # K_4 over Z_3 has 729 colorings
 
 
 def test_recorded_scan_digest():
@@ -518,6 +616,13 @@ def test_jobs_are_capped_at_the_cpu_count(monkeypatch):
     assert scan_colorings(path(4), 5, 3, jobs=64).unavoidable
     assert sizes == [2, 2]
 
+    def unasked():
+        raise AssertionError("one job needs no CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", unasked)
+    assert scan_colorings(path(4), 5, 3, jobs=1).unavoidable
+    assert compute_ramsey(path(4), 3, 8).value == 5
+
 
 def test_subgraph_copies_match_every_placement():
     pendant = build_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
@@ -552,6 +657,24 @@ def test_digit_masks_decode_the_low_digits(g, order, k, reduce_symmetry):
                                  .view(np.uint8), bitorder="little")
             assert not bits[scan.block:].any()  # pad rows
             assert np.array_equal(bits[:scan.block] == 1, minus % k == r)
+
+
+@pytest.mark.parametrize("k, low", [(3, 4), (5, 6), (2, 16)])
+def test_digit_masks_decode_each_digit(k, low):
+    # at Z_5 with 5^6-row blocks and at Z_2 with 2^16-row ones, k rows of
+    # bools would pass 2^13 words, so the values of a digit go in groups
+    block = k ** low
+    words = -(-block // 64)
+    assert (k * 8 * words > oracle._PASS_WORDS) == (k != 3)
+    masks = oracle._digit_masks(k, low, words)
+    rows = np.arange(block)
+    for j in range(low + 1):
+        digit = rows // k ** (low - 1 - j) % k if j < low else 0 * rows
+        bits = np.unpackbits(masks[j].astype("<u8").view(np.uint8),
+                             axis=1, bitorder="little")
+        assert not bits[:, block:].any()  # pad rows
+        for r in range(k):
+            assert np.array_equal(bits[r, :block] == 1, -digit % k == r)
 
 
 def test_subgraph_copy_counts():

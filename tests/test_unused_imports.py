@@ -8,7 +8,9 @@ has a caller outside tests/ (a module of src/ other than ``__init__.py``,
 bench/ or demos/), every name that
 bench/*.py imports from ``zsforest`` exists there, so a deletion under src/
 that would break the benchmark fails here first, and the package holds no
-``assert`` statement, which ``python -O`` would strip.
+``assert`` statement, which ``python -O`` would strip, and no
+``functools.cache`` or ``functools.lru_cache``, which would keep tables
+across calls.
 
 No linter is a project dependency, so these are small stdlib ``ast`` scans.
 ``from __future__`` imports are skipped, and so are the package
@@ -224,6 +226,52 @@ def test_package_has_no_assert_statements():
                 for path, source in _modules(False, ("src/zsforest",))
                 for line in assert_statements(source)]
     assert not problems, "assert in the package:\n" + "\n".join(problems)
+
+
+CACHES = ("cache", "lru_cache")
+
+
+def cache_uses(source: str) -> list[tuple[str, int]]:
+    """(name, line) for each use of ``functools.cache`` or
+    ``functools.lru_cache``: imported by name, or read as an attribute of
+    ``functools`` under any alias."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               for alias in node.names if alias.name == "functools"}
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            uses += [(alias.name, node.lineno) for alias in node.names
+                     if alias.name in CACHES]
+        elif (isinstance(node, ast.Attribute) and node.attr in CACHES
+              and isinstance(node.value, ast.Name)
+              and node.value.id in aliases):
+            uses.append((node.attr, node.lineno))
+    return sorted(uses, key=lambda use: use[1])
+
+
+def test_cache_scanner_sees_each_form():
+    source = (
+        "import functools\n"
+        "import functools as ft\n"
+        "from functools import cached_property, lru_cache\n"
+        "from functools import cache as memo\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def f(): pass\n"
+        "g = ft.cache(f)\n"
+        "h = other.cache\n")
+    assert cache_uses(source) == [("lru_cache", 3), ("cache", 4),
+                                  ("lru_cache", 5), ("cache", 7)]
+
+
+def test_package_keeps_no_caches():
+    # structure is computed when a call needs it and dropped with the call
+    # or the object that asked for it: no table outlives them in a cache
+    problems = [f"{path}:{line}: functools.{name}"
+                for path, source in _modules(False, ("src/zsforest",))
+                for name, line in cache_uses(source)]
+    assert not problems, "caches in the package:\n" + "\n".join(problems)
 
 
 def zsforest_imports(source: str) -> list[tuple[str, str, int]]:
