@@ -28,19 +28,23 @@ one table, one fancy index maps it onto every n-subset of K_N, and one
 lexsort orders the rows. :func:`compute_ramsey` lists that table once for
 all its orders, after the first order's budget check. The check splits
 the counter at its L low digits, L about m/2 and at most the suffix
-length under the reduction. On the first block that the settle below
-leaves, once per scan, it builds k bitmasks of k^L bits for each distinct
-set of low edges among the copies, marking the low-digit rows where minus
-their sum is each residue; each set's masks are an AND/OR convolution of
-one bitmask per (low digit, value). Low digit j holds each value for
-k^(L-1-j) rows in turn, so a digit's k bitmasks are one strided fill of k
-bool rows and one pack, with no division (in groups of rows, where k rows
-would pass 2^13 words). L is lowered until the two
-largest temporaries of that set-up fit in 2^13 words: one residue's bools
-over a block, k^L bytes, and one set's k² gathered masks, k²·k^L/64
-words; so k^L · max(k², 8) <= 2^19. A scan whose settle decides every
-block builds no masks. On a 2-vCPU shared VM, P_4 in K_6 over Z_3 lists
-its copies in 0.07 ms and builds its masks in 0.35 ms.
+length under the reduction. Once per scan, on the first block that the
+settle and the cover test below leave, the copies are keyed by their set
+of low edges (one dict over the rows' bytes, shared with the cover test)
+and k bitmasks of k^L bits are built for each distinct set, marking the
+low-digit rows where minus their sum is each residue; each set's masks
+are an AND/OR convolution of one bitmask per (low digit, value). Low
+digit j holds each value for k^(L-1-j) rows in turn, so a digit's k
+bitmasks are one strided fill of k bool rows and one pack, with no
+division (in groups of rows, where k rows would pass 2^13 words). L is
+lowered until the two largest temporaries of that set-up fit in 2^13
+words: one residue's bools over a block, k^L bytes, and one set's k²
+gathered masks, k²·k^L/64 words; so k^L · max(k², 8) <= 2^19. A scan
+whose settle decides every block keys no sets, and one whose settle and
+cover test decide every block builds no masks. On a 2-vCPU shared VM,
+P_4 in K_5 over Z_3 lists its copies in 0.08 ms, keys its sets in 0.02
+ms and builds its masks in 0.08 ms more; P_4 in K_6 over Z_3 keys its
+sets in 0.03 ms and needs no masks, which would take 0.37 ms.
 
 An aligned block of k^L counters then needs the OR, over copies, of the
 mask its high sum selects, but only until all of its bits are set. Blocks
@@ -49,27 +53,45 @@ digits of their starts, and a task, the unit of sharding and of
 checkpoint writes, is one batch. Only a scan's first task is shorter: it
 runs to the end of a window of as many blocks as 2^13 words hold as mask
 rows or as all m digits, so a witness early in the space costs no more
-than that window. The copies come fewest low edges first. One with no
-low edge fills its block when its high sum is 0 and sets no bit
-otherwise, so those copies settle the task on high digits alone: in
-passes of doubling length, one integer per live block, they drop every
-block where one of them sums to 0. Only the blocks left get bitmask rows,
-as many at a time as 2^13 words hold, in ascending order, and a task ends
-at the first such chunk with a counter missing. In a chunk, the blocks
-take the copies with low edges in passes of doubling length, each block
-dropped as soon as it is full. So a settled block costs one integer per
-copy up to the first whose sum is 0, and a block left costs k^L/64 word
-operations per copy with low edges up to the one that fills it, not for
-all C. P_4 in K_6 over Z_3 has 180 copies, 14 with no low edge; they
-settle 2,157 of its 2,187 blocks, after 3.1 of them on average (median
-2), and the other 30 blocks are full after 55 copies with low edges on
-average (worst 69). No gathered, set-up or decoded temporary holds more
-than 2^13 words (64 KB). Nothing is done per coloring in Python. On the
-same VM, that P_4 scan (3^15 colorings, 3 tasks) takes 1.3 to 1.4 ms; the
-scan of K_{1,3} in K_6 over Z_3, whose settle decides every block, 0.4
+than that window. Each task goes through three steps, each on the blocks
+the one before leaves:
+
+1. The settle. The copies come fewest low edges first. One with no low
+   edge fills its block when its high sum is 0 and sets no bit
+   otherwise, so those copies settle the task on high digits alone: in
+   passes of doubling length, one integer per live block, they drop
+   every block where one of them sums to 0.
+2. The cover test, for k <= 64. A set of low edges' k masks partition a
+   block's rows, since each row's low sum has one residue, so a block is
+   full once the high sums of the set's copies take every residue. In
+   passes like the settle's, the copies of each set with at least k of
+   them OR the bit of their high sum's residue, and every block where
+   one set reaches all k bits is dropped. The settle is the same test
+   for the set with no low edge, whose rows all have residue 0.
+3. The masks. Only the blocks left get bitmask rows, as many at a time
+   as 2^13 words hold, in ascending order, and a task ends at the first
+   such chunk with a counter missing. In a chunk, the blocks take the
+   copies with low edges in passes of doubling length, each block
+   dropped as soon as it is full.
+
+So a settled block costs one integer per copy up to the first whose sum
+is 0, a covered one at most one integer per copy of a set with k copies
+or more, and a block left k^L/64 word operations per copy with low edges
+up to the one that fills it, not for all C. P_4 in K_6 over Z_3 has 180
+copies, 14 with no low edge; they settle 2,157 of its 2,187 blocks, after
+3.1 of them on average (median 2). The other 166 copies fall in 61 sets
+of low edges, 24 of them with at least 3 copies (124 copies in all), and
+in each of the 30 blocks left one of those sets reaches every residue by
+its 22nd copy on average (worst 39), so the scan builds no masks. No
+gathered, set-up or decoded temporary holds more than 2^13 words (64 KB).
+Nothing is done per coloring in Python. On the same VM, best of 400
+runs, that P_4 scan (3^15 colorings, 3 tasks) takes 0.64 ms (1.5 ms when
+its 30 blocks got masks) and 0.31 ms reduced (0.93 ms); 2K_2 in K_7 over
+Z_2, which the cover test decides too, 0.40 ms (0.60 ms); P_4 in K_5
+over Z_3, which still builds masks for 6 of its 243 blocks, 0.33 ms; the
+scan of K_{1,3} in K_6 over Z_3, whose settle decides every block, 0.44
 ms; and the reduced scan of P_4 in K_7 over Z_3 (4.0e8 colorings, 420
-copies, 78 with no low edge, every block settled, 31 tasks) 4.8 to 4.9
-ms.
+copies, 78 with no low edge, every block settled, 31 tasks) 5.5 ms.
 """
 
 from __future__ import annotations
@@ -312,8 +334,12 @@ class _Enumeration:
 
     def coloring_at(self, counter: int) -> ColoredClique:
         matrix = np.zeros((self.order, self.order), dtype=np.int16)
-        u, v = np.triu_indices(self.order, 1)  # the edges in lex order
-        matrix[u, v] = matrix[v, u] = self.colors_block(counter, 1)[0]
+        # a boolean mask takes the cells row by row, so the upper
+        # triangle's come in lex order of the edges, and the transpose's
+        # mirror them
+        vertices = np.arange(self.order)
+        upper = vertices[:, None] < vertices
+        matrix[upper] = matrix.T[upper] = self.colors_block(counter, 1)[0]
         return ColoredClique(self.order, self.k, matrix)
 
 
@@ -369,19 +395,22 @@ class _SplitScan:
     the copies after that cost it nothing. The copies with the fewest low
     edges come first; OR does not depend on the order. The first
     ``settling`` of them have no low edge: each fills its block when its
-    high sum is 0 and sets no bit otherwise, so they need no mask. The
-    masks are built on the first block the settle leaves, once per scan
-    object, so a scan whose settle decides every block builds none.
+    high sum is 0 and sets no bit otherwise, so they need no mask. Nor do
+    the blocks where the copies of one set of low edges have high sums of
+    every residue: the set's masks partition the rows, so the cover test
+    drops those blocks too. The masks are built on the first block the
+    settle and the cover test leave, once per scan object, so a scan
+    where they decide every block builds none.
 
     _PASS_WORDS sizes everything: L is about m/2, lowered until the set-up's
     temporaries fit in that many words; a batch is as many blocks as it
     holds as the m - L decoded high digits of their starts; and the blocks
-    the settle leaves get mask rows in chunks of as many blocks as it holds
-    as mask words. A task is one batch, except the first of a scan, which
-    runs to the next multiple of a shorter window: as many blocks as
-    _PASS_WORDS holds as mask words or as all m digits of their starts,
-    whichever is more. So a scan whose witness lies early does no more work
-    than that window's.
+    the settle and the cover test leave get mask rows in chunks of as many
+    blocks as it holds as mask words. A task is one batch, except the
+    first of a scan, which runs to the next multiple of a shorter window:
+    as many blocks as _PASS_WORDS holds as mask words or as all m digits
+    of their starts, whichever is more. So a scan whose witness lies early
+    does no more work than that window's.
     """
 
     def __init__(self, enum: _Enumeration, copies: np.ndarray):
@@ -418,24 +447,50 @@ class _SplitScan:
         self.first = max(1, min(blocks, _PASS_WORDS // max(words, m)))
 
     @cached_property
-    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(offsets, masks, pad): each copy's first mask row; k mask rows
-        per distinct set of low edges, one per residue; and the bits past
-        the end of a block, set so that they never look missing."""
-        k, split, words = self.enum.k, self.split, self.words
-        low = self.enum.m - split
-        # copies with the same low edges share their masks, numbered in
-        # order of first use, so the sets come fewest low edges first. In
-        # a copy's edge list, -1 stands for a high edge and indexes the
-        # always-0 digit; the dict keys each list by its bytes
-        lists = np.maximum(self.copies - split, -1)
+    def _sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """(which, sets): each copy's set of low edges, numbered in order
+        of first use, so the sets come fewest low edges first; and each
+        set's edge list, shifted to low-digit indices. In a copy's edge
+        list, -1 stands for a high edge and indexes the always-0 digit; the
+        dict keys each list by its bytes. Keyed on first use, by the cover
+        test or the mask rows, so a scan whose settle decides every block
+        keys nothing."""
+        lists = np.maximum(self.copies - self.split, -1)
         edges = lists.shape[1]
         index: dict[bytes, int] = {}
         which = [index.setdefault(key, len(index)) for key in
                  lists.view(np.dtype((np.void, lists.itemsize * edges)))
                  .ravel().tolist()]
         sets = np.frombuffer(b"".join(index), dtype=lists.dtype)
-        sets = sets.reshape(-1, edges)
+        return np.array(which), sets.reshape(-1, edges)
+
+    @cached_property
+    def _cover_sets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(high, heads, bit) for the cover test: the high-edge incidence
+        of the copies with low edges whose set has at least k of them
+        (fewer cannot reach every residue), grouped by set in the order of
+        the sets; whether each column starts its set; and the bit of the
+        residue of each high sum, up to split·(k - 1). Only for k <= 64,
+        whose residues fit one 64-bit word."""
+        k = self.enum.k
+        which = self._sets[0][self.settling:]
+        big = np.flatnonzero(np.bincount(which)[which] >= k)
+        big = big[np.argsort(which[big], kind="stable")]
+        heads = np.ones(len(big), dtype=bool)
+        heads[1:] = which[big[1:]] != which[big[:-1]]
+        residues = np.arange(self.split * (k - 1) + 1) % k
+        return (self.high[:, self.settling + big], heads,
+                np.uint64(1) << residues.astype(np.uint64))
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(offsets, masks, pad): each copy's first mask row; k mask rows
+        per distinct set of low edges, one per residue; and the bits past
+        the end of a block, set so that they never look missing."""
+        k, split, words = self.enum.k, self.split, self.words
+        low = self.enum.m - split
+        which, sets = self._sets
+        edges = sets.shape[1]
         digit_masks = _digit_masks(k, low, words)
         # residue s of a sum of two terms: the OR over r of (first term is
         # s - r) AND (second term is r); a negative index s - r counts
@@ -457,7 +512,7 @@ class _SplitScan:
                 acc = np.bitwise_or.reduce(
                     acc[:, shift] & digit_masks[slot, None], axis=2)
             masks[c0:c1] = acc
-        return (np.array(which) * k, masks.reshape(-1, words),
+        return (which * k, masks.reshape(-1, words),
                 ~digit_masks[low, 0])
 
     @property
@@ -493,8 +548,10 @@ class _SplitScan:
         Every block of the task is first settled on its high digits: a copy
         with no low edge fills its block when its high sum is 0 and sets no
         bit otherwise, so those copies only drop blocks, in passes of one
-        integer per live block. The blocks left get mask rows a chunk at a
-        time, in ascending order, and the first chunk with a missing
+        integer per live block. The cover test then drops, on high digits
+        too, every block where the copies of one set of low edges have
+        high sums of every residue. The blocks left get mask rows a chunk
+        at a time, in ascending order, and the first chunk with a missing
         counter holds the answer.
         """
         block = self.block
@@ -511,6 +568,8 @@ class _SplitScan:
             if not live.size:
                 return None
             c0 = c1
+        if self.enum.k <= 64:
+            live, high = self._cover(live, high)
         skip = start - b0 * block  # counters of block 0 before start
         for i in range(0, live.size, self.chunk):
             part = live[i:i + self.chunk]
@@ -519,6 +578,40 @@ class _SplitScan:
             if found is not None:
                 return b0 * block + found
         return None
+
+    def _cover(self, live: np.ndarray, high: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """The given blocks, and their high digits, less those that one set
+        of low edges fills on its own.
+
+        A set's k mask rows partition a block's rows, since each row's low
+        sum has one residue, so the block is full once the high sums of
+        the set's copies take every residue. The settle is the same test
+        for the set with no low edge, whose rows all have residue 0. The
+        sets go in passes of doubling length, one integer per copy and
+        live block, as in the settle; a set that a pass cuts carries its
+        residues into the next one.
+        """
+        cover, heads, bit = self._cover_sets
+        every = np.uint64(2 ** self.enum.k - 1)
+        carry = np.zeros(live.size, dtype=np.uint64)
+        c0 = step = 0
+        while c0 < len(heads) and live.size:
+            step = _pass_length(step, live.size)
+            c1 = min(len(heads), c0 + step)
+            # the residues that each set, or the part of one, in the pass
+            # reaches; the first part goes on from the last of the pass before
+            cuts = heads[c0:c1].copy()
+            cuts[0] = True
+            seen = np.bitwise_or.reduceat(
+                bit.take(high @ cover[:, c0:c1]), np.flatnonzero(cuts), axis=1)
+            if not heads[c0]:
+                seen[:, 0] |= carry
+            carry = seen[:, -1]
+            open_ = (seen != every).all(axis=1)
+            live, high, carry = live[open_], high[open_], carry[open_]
+            c0 = c1
+        return live, high
 
     def _first_unset(self, live: np.ndarray, high: np.ndarray,
                      skip: int) -> Optional[int]:
@@ -645,12 +738,13 @@ def _scan(g: SimpleGraph, order: int, k: int, budget: int,
     start = min(entries.get(fingerprint, 0), enum.total)
 
     def save(counter: int) -> None:
-        # a scan that ends on its last task, or resumes a finished order,
-        # would write the file unchanged
+        # a scan that ends on its last task would write the file unchanged
         if checkpoint is not None and entries.get(fingerprint) != counter:
             entries[fingerprint] = counter
             _write_entries(checkpoint, entries)
 
+    if start == enum.total:  # a finished order: nothing left to scan
+        return ScanResult(True, None, None, 0, enum.total), table
     if table is None:
         table = _labeling_table(g)
     scan = _SplitScan(enum, _subgraph_copies(g, order, table))

@@ -7,6 +7,7 @@ import multiprocessing
 import multiprocessing.pool
 import os
 import tracemalloc
+from functools import cached_property
 from itertools import (combinations, combinations_with_replacement, islice,
                        permutations)
 
@@ -103,6 +104,15 @@ def test_colors_block_matches_digit_expansion():
             digits.append(x % 3)
             x //= 3
         assert list(block[c]) == digits[::-1]
+    # a witness matrix holds each edge's digit at both of its cells
+    for order, reduce_symmetry in ((1, False), (4, False), (6, True)):
+        enum = _Enumeration(order, 3, reduce_symmetry)
+        for c in (0, 5, enum.total - 1):
+            want = np.zeros((order, order), dtype=np.int16)
+            u, v = np.triu_indices(order, 1)
+            want[u, v] = want[v, u] = enum.colors_block(c, 1)[0]
+            got = enum.coloring_at(c).matrix
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_symmetry_reduction_sound_and_smaller():
@@ -439,25 +449,121 @@ def _counted(monkeypatch, name) -> list:
     return calls
 
 
+def _counted_property(monkeypatch, name) -> list:
+    """The scans that compute the cached property _SplitScan.<name> from
+    now on, one entry each time."""
+    calls = []
+    func = getattr(oracle._SplitScan, name).func
+
+    def counted(self):
+        calls.append(self)
+        return func(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(oracle._SplitScan, name)
+    monkeypatch.setattr(oracle._SplitScan, name, prop)
+    return calls
+
+
 def test_mask_rows_are_built_lazily_and_once(monkeypatch):
     builds = _counted(monkeypatch, "_digit_masks")
-    # the settle decides every block of these scans, so they build no
-    # mask rows: K_{1,3} in K_6 over Z_3, and reduced P_4 in K_7 over Z_3
+    keyings = _counted_property(monkeypatch, "_sets")
+    # the settle decides every block of these scans, so they key no sets
+    # and build no mask rows: K_{1,3} in K_6 over Z_3, and reduced P_4 in
+    # K_7 over Z_3
     assert scan_colorings(star(3), 6, 3).unavoidable
     assert scan_colorings(path(4), 7, 3, budget=5 * 10 ** 8,
                           reduce_symmetry=True).unavoidable
-    assert builds == []
+    assert builds == keyings == []
+    # the cover test decides every block that the settle leaves of P_4 in
+    # K_6 over Z_3, plain and reduced, and of 2K_2 in K_7 over Z_2: each
+    # scan keys its sets once, over all of its tasks, and builds no masks
+    for g, order, k, reduce_symmetry in ((path(4), 6, 3, False),
+                                         (path(4), 6, 3, True),
+                                         (matching(2), 7, 2, False)):
+        keyings.clear()
+        assert scan_colorings(g, order, k,
+                              reduce_symmetry=reduce_symmetry).unavoidable
+        assert len(keyings) == 1 and builds == []
+    # P_4 in K_5 over Z_3 still needs mask rows: one build, one keying
+    keyings.clear()
+    assert scan_colorings(path(4), 5, 3).unavoidable
+    assert len(builds) == len(keyings) == 1
     # every block of 3K_2 in K_7 over Z_2 survives the settle: its two
     # tasks and the second task's three chunks share one build
+    builds.clear()
+    keyings.clear()
     g = matching(3)
     scan = oracle._SplitScan(_Enumeration(7, 2, False), _subgraph_copies(g, 7))
     tasks = list(scan.tasks(0))
     assert len(tasks) == 2 and scan.settling == 0
     assert [scan.first_missing(a, b) for a, b in tasks] == [None, 2 ** 21 - 1]
-    assert len(builds) == 1
+    assert len(builds) == len(keyings) == 1
     res = scan_colorings(g, 7, 2)
     assert res.witness_counter == 2 ** 21 - 1
-    assert len(builds) == 2
+    assert len(builds) == len(keyings) == 2
+
+
+def _set_residues(scan, digits):
+    """Whether one set of low edges fills each block on its own, from the
+    decoded digits of each block's first counter: the residues of the high
+    sums of each set's copies, as Python sets."""
+    k, split = scan.enum.k, scan.split
+    which = scan._sets[0]
+    full = []
+    for row in digits:
+        reached = {}
+        for copy, key in zip(scan.copies, which):
+            if (copy >= split).any():
+                high = sum(int(row[e]) for e in copy if e < split)
+                reached.setdefault(int(key), set()).add(high % k)
+        full.append(any(len(r) == k for r in reached.values()))
+    return full
+
+
+@pytest.mark.parametrize("g, order, k, reduce_symmetry", [
+    (path(4), 6, 3, False), (path(4), 6, 3, True), (matching(2), 7, 2, False),
+    (path(4), 5, 4, False), (path(5), 5, 5, True)],
+    ids=["P4-K6-Z3", "P4-K6-Z3-reduced", "2K2-K7-Z2", "P4-K5-Z4",
+         "P5-K5-Z5-reduced"])
+def test_cover_test_drops_exactly_the_blocks_one_set_fills(
+        monkeypatch, g, order, k, reduce_symmetry):
+    # in each of the first two tasks, the cover test drops the blocks the
+    # settle leaves where one set's copies reach every residue, and only
+    # those; every coloring of a dropped block has a zero-sum copy. With a
+    # first pass of one copy, the passes cut sets in two
+    seen = []
+    cover = oracle._SplitScan._cover
+
+    def recorded(self, live, high):
+        kept = cover(self, live, high)
+        seen.append((live, kept[0]))
+        return kept
+
+    monkeypatch.setattr(oracle._SplitScan, "_cover", recorded)
+    scan = oracle._SplitScan(_Enumeration(order, k, reduce_symmetry),
+                             _subgraph_copies(g, order))
+    dropped = 0
+    for a, b in islice(scan.tasks(0), 2):
+        seen.clear()
+        for shortest in (oracle._MIN_PASS_WORDS, 1):
+            monkeypatch.setattr(oracle, "_MIN_PASS_WORDS", shortest)
+            scan.first_missing(a, b)
+        if not seen:  # the settle decided every block
+            continue
+        [(live, kept), (_, kept_cut)] = seen
+        starts = (a // scan.block + live) * scan.block
+        digits = np.concatenate([
+            _reference_hits(g, order, k, reduce_symmetry, c, c + 1)[0]
+            for c in starts])
+        full = _set_residues(scan, digits)
+        assert np.isin(live, kept, invert=True).tolist() == full
+        assert np.array_equal(kept, kept_cut)
+        for c in starts[full]:
+            assert _reference_hits(g, order, k, reduce_symmetry, c,
+                                   c + scan.block)[1].all()
+        dropped += sum(full)
+    assert dropped > 0
 
 
 SCAN_PATTERNS = (("C4", C4), ("2K2", matching(2)), ("P3", path(3)),
@@ -832,6 +938,22 @@ def test_checkpoint_rerun_after_finished_run(tmp_path):
             res = scan_colorings(g, order, k, checkpoint=cp)
             assert res.unavoidable == (order == plain.value)
         (tmp_path / "ramsey.ckpt").unlink()
+
+
+def test_checkpoint_rerun_lists_no_copies_for_a_finished_order(
+        tmp_path, monkeypatch):
+    # R(P_4, Z_3) = 5: a rerun lists copies only at order 4, to find its
+    # witness again, and none at order 5, whose entry is already 3^10
+    cp = str(tmp_path / "ramsey.ckpt")
+    first = compute_ramsey(path(4), 3, 7, checkpoint=cp)
+    assert first.value == 5
+    listed = _counted(monkeypatch, "_subgraph_copies")
+    again = compute_ramsey(path(4), 3, 7, checkpoint=cp)
+    _same_ramsey(again, first)
+    assert [args[1] for args in listed] == [4]
+    res = scan_colorings(path(4), 5, 3, checkpoint=cp)
+    assert (res.unavoidable, res.colorings_checked) == (True, 0)
+    assert [args[1] for args in listed] == [4]
 
 
 def test_checkpoint_skips_writes_that_change_nothing(tmp_path, monkeypatch):
