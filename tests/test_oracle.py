@@ -543,10 +543,11 @@ def test_cover_test_drops_exactly_the_blocks_one_set_fills(
     monkeypatch.setattr(oracle._SplitScan, "_cover", recorded)
     scan = oracle._SplitScan(_Enumeration(order, k, reduce_symmetry),
                              _subgraph_copies(g, order))
+    default = oracle._MIN_PASS_WORDS
     dropped = 0
     for a, b in islice(scan.tasks(0), 2):
         seen.clear()
-        for shortest in (oracle._MIN_PASS_WORDS, 1):
+        for shortest in (default, 1):
             monkeypatch.setattr(oracle, "_MIN_PASS_WORDS", shortest)
             scan.first_missing(a, b)
         if not seen:  # the settle decided every block
